@@ -47,6 +47,7 @@ from flexsafe.ofo_controller import (
     Trajectory,
     build_step_qp,
     calibrate_alpha,
+    closed_loop_step,
     export_trajectory_csv,
     grad_cost,
     ofo_step,

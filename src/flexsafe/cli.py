@@ -14,9 +14,10 @@ the wall-clock time.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from flexsafe.grid_model import GridError
@@ -54,6 +55,9 @@ PAD_FRACTION = 0.1
 
 REGION_CSV = "for_region.csv"
 
+#: Sidecar of REGION_CSV: the _region_stamp of the inputs that charted it.
+REGION_STAMP = "for_region.sha256"
+
 
 def _write_json(payload: dict, path: Path) -> None:
     with open(path, "w") as fh:
@@ -73,12 +77,30 @@ def _effective_seed(sc: ScenarioConfig, args) -> int:
     return sc.noise.seed if sc.noise is not None else 0
 
 
+def _region_stamp(sc: ScenarioConfig) -> str:
+    """sha256 of everything the region depends on: grid document and sweep settings."""
+    digest = hashlib.sha256(sc.grid_path.read_bytes())
+    digest.update(json.dumps(asdict(sc.sweep), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
 def _ensure_region(sc: ScenarioConfig, out: Path, refresh: bool = False) -> FORPolygon:
-    cache = out / REGION_CSV
-    if cache.exists() and not refresh:
+    """The scenario's region: the cached CSV if its stamp matches, else a new sweep."""
+    cache, stamp_file = out / REGION_CSV, out / REGION_STAMP
+    stamp = _region_stamp(sc)
+    if (
+        not refresh
+        and cache.exists()
+        and stamp_file.exists()
+        and stamp_file.read_text().strip() == stamp
+    ):
         return read_for_csv(cache)
+    # Drop the old stamp first, so a run cut short never leaves a stamp
+    # vouching for a CSV it does not describe.
+    stamp_file.unlink(missing_ok=True)
     polygon = sweep_for(sc.grid, config=sc.sweep)
     export_for_csv(polygon, cache)
+    stamp_file.write_text(stamp + "\n")
     return polygon
 
 
@@ -230,6 +252,21 @@ def _cmd_mc(args) -> int:
     return 0
 
 
+def _integer_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flexsafe",
@@ -243,9 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=text)
         sp.add_argument("config", type=Path, help="scenario JSON file")
-        sp.add_argument("--jobs", type=int, default=1, help="worker processes")
+        sp.add_argument("--jobs", type=_integer_at_least(1), default=1, help="worker processes")
         sp.add_argument("--out", type=Path, default=None, help="artifact directory")
-        sp.add_argument("--seed", type=int, default=None, help="override the master seed")
+        sp.add_argument(
+            "--seed", type=_integer_at_least(0), default=None, help="override the master seed"
+        )
         sp.set_defaults(func=func)
     return parser
 

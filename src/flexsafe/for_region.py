@@ -20,16 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from flexsafe.grid_model import GridModel, apply_control, clip_control, control_labels
+from flexsafe.grid_model import GridModel, apply_control, control_labels
 from flexsafe.power_flow import (
+    MeasurementVector,
     PowerFlowError,
     SystemState,
     limit_violation,
-    measure,
     solve_power_flow,
 )
-from flexsafe.ofo_controller import ControllerConfig, build_step_qp
-from flexsafe.qp_solver import solve_qp
+from flexsafe.ofo_controller import ControllerConfig, closed_loop_step
 from flexsafe.sensitivity import SensitivityMap, compute_sensitivity
 
 
@@ -192,7 +191,9 @@ def _push_direction(
     The per-iteration cost -kappa (c . x) + mu (n . x)^2 (c the ray
     direction, n its normal) is minimized with the controller's own
     constrained step; the gain is scaled to the cost curvature seen through
-    the PCC rows of the sensitivity map.
+    the PCC rows of the sensitivity map.  Steps warm-start their power flow
+    from the previous step; the pinned point is solved from a flat start,
+    as verify_vertices re-solves it.
     """
     c = np.array([math.cos(theta), math.sin(theta)])
     n_vec = np.array([-math.sin(theta), math.cos(theta)])
@@ -203,25 +204,27 @@ def _push_direction(
         raise FORError("controls have no effect on the PCC flow; the region is a point")
 
     u = smap.u0.copy()
+    state = None
+    k = 0
     for kappa, mu in config.stages:
         alpha = config.gain_scale / (mu * sigma_n2 + kappa * sigma_c2)
         cfg = ControllerConfig(alpha=alpha, max_iterations=1)
-        stall = 0
-        for _ in range(config.stage_iterations):
-            state = solve_power_flow(apply_control(grid, u))
-            if not state.converged:
-                raise PowerFlowError(f"power flow diverged during the sweep at u={u}")
-            y = measure(state)
-            perp = float(n_vec @ [state.p_pcc, state.q_pcc])
+
+        def gradient(y: MeasurementVector, kappa=kappa, mu=mu) -> np.ndarray:
+            perp = float(n_vec @ [y.p_pcc, y.q_pcc])
             grad_phi = np.zeros(len(y))
             grad_phi[-2] = -kappa * c[0] + 2.0 * mu * perp * n_vec[0]
             grad_phi[-1] = -kappa * c[1] + 2.0 * mu * perp * n_vec[1]
-            solution = solve_qp(build_step_qp(u, y, smap, grid, cfg, grad_phi))
-            if solution.status != "optimal":
+            return grad_phi
+
+        stall = 0
+        for _ in range(config.stage_iterations):
+            step, state = closed_loop_step(grid, u, smap, cfg, gradient, k=k, initial=state)
+            k += 1
+            if step.qp_status != "optimal":
                 break
-            u_next, _ = clip_control(grid, u + alpha * solution.w)
-            delta = float(np.max(np.abs(u_next - u)))
-            u = u_next
+            delta = float(np.max(np.abs(step.u_next - u)))
+            u = step.u_next
             if delta < config.stall_tol:
                 stall += 1
                 if stall >= config.patience:

@@ -4,6 +4,11 @@ Grid files carry physical units (MW / MVAr / kV); everything in memory is
 per-unit on ``s_base``.  The model is immutable after load -- controller
 updates go through :func:`apply_control`, which returns a new value, so a
 single model can be shared freely across concurrent trials.
+
+The static network (index maps, limit vectors, branch admittances, Ybus)
+is computed once per loaded grid.  Grids derived by :func:`derive_injections`
+(set points or loads changed, nothing else) share those arrays instead of
+rebuilding them, so a closed-loop step pays only for its injections.
 """
 
 from __future__ import annotations
@@ -137,8 +142,9 @@ class GridModel:
         return idx[0]
 
     @cached_property
-    def pq_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n_bus) if i != self.slack_index)
+    def pq_indices(self) -> np.ndarray:
+        """Indices of the non-slack buses, ascending (read-only)."""
+        return _read_only(np.delete(np.arange(self.n_bus), self.slack_index))
 
     @cached_property
     def pcc_index(self) -> int:
@@ -157,21 +163,15 @@ class GridModel:
 
     @cached_property
     def v_min(self) -> np.ndarray:
-        out = np.array([bus.v_min for bus in self.buses])
-        out.flags.writeable = False
-        return out
+        return _read_only(np.array([bus.v_min for bus in self.buses]))
 
     @cached_property
     def v_max(self) -> np.ndarray:
-        out = np.array([bus.v_max for bus in self.buses])
-        out.flags.writeable = False
-        return out
+        return _read_only(np.array([bus.v_max for bus in self.buses]))
 
     @cached_property
     def s_max(self) -> np.ndarray:
-        out = np.array([br.s_max for br in self.branches])
-        out.flags.writeable = False
-        return out
+        return _read_only(np.array([br.s_max for br in self.branches]))
 
     def control_vector(self) -> np.ndarray:
         """Current set points of controllable units, ordered [p_1..p_j, q_1..q_j]."""
@@ -179,10 +179,15 @@ class GridModel:
         return np.array([fu.p for fu in units] + [fu.q for fu in units])
 
     def control_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) box of the control vector, read-only."""
+        return self._control_box
+
+    @cached_property
+    def _control_box(self) -> tuple[np.ndarray, np.ndarray]:
         units = [self.flex_units[i] for i in self.ctrl_indices]
         lower = np.array([fu.p_min for fu in units] + [fu.q_min for fu in units])
         upper = np.array([fu.p_max for fu in units] + [fu.q_max for fu in units])
-        return lower, upper
+        return _read_only(lower), _read_only(upper)
 
     def bus_injections(self) -> np.ndarray:
         """Net complex injection per bus (generation positive), p.u."""
@@ -199,9 +204,7 @@ class GridModel:
     def branch_ends(self) -> tuple[np.ndarray, np.ndarray]:
         f = np.array([self.bus_index[br.from_bus] for br in self.branches], dtype=int)
         t = np.array([self.bus_index[br.to_bus] for br in self.branches], dtype=int)
-        f.flags.writeable = False
-        t.flags.writeable = False
-        return f, t
+        return _read_only(f), _read_only(t)
 
     @cached_property
     def branch_admittance(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -213,9 +216,7 @@ class GridModel:
         yft = -ys / tap
         ytf = -ys / tap
         ytt = ys + 0.5j * bc
-        for arr in (yff, yft, ytf, ytt):
-            arr.flags.writeable = False
-        return yff, yft, ytf, ytt
+        return _read_only(yff), _read_only(yft), _read_only(ytf), _read_only(ytt)
 
     @cached_property
     def ybus(self) -> np.ndarray:
@@ -227,8 +228,43 @@ class GridModel:
         np.add.at(y, (f, t), yft)
         np.add.at(y, (t, f), ytf)
         np.add.at(y, (t, t), ytt)
-        y.flags.writeable = False
-        return y
+        return _read_only(y)
+
+    @cached_property
+    def ybus_pq(self) -> np.ndarray:
+        """The Ybus block on the non-slack rows and columns (read-only)."""
+        pq = self.pq_indices
+        return _read_only(self.ybus[np.ix_(pq, pq)])
+
+
+#: Cached properties that depend only on topology, impedances and limits,
+#: never on set points or load values.  Grids made by derive_injections
+#: share them with the grid they came from.
+_STATIC = (
+    "bus_index", "branch_index", "slack_index", "pq_indices", "pcc_index", "ctrl_indices",
+    "v_min", "v_max", "s_max", "_control_box", "branch_ends", "branch_admittance", "ybus", "ybus_pq",
+)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def derive_injections(grid: GridModel, **changes) -> GridModel:
+    """Return ``grid`` with new ``flex_units`` and/or ``fixed_loads``.
+
+    The replacements may change set points and load values only: the
+    static network is computed once on ``grid`` and shared, not rebuilt.
+    """
+    if not set(changes) <= {"flex_units", "fixed_loads"}:
+        raise ValueError(f"only injections may change, got {sorted(changes)}")
+    derived = replace(grid, **changes)
+    for name in _STATIC:
+        # cached_property reads the instance dict first, so this is the
+        # value every later access returns.
+        derived.__dict__[name] = getattr(grid, name)
+    return derived
 
 
 def control_labels(grid: GridModel) -> tuple[str, ...]:
@@ -484,24 +520,28 @@ def clip_control(grid: GridModel, u: np.ndarray) -> tuple[np.ndarray, tuple[Clip
         )
     lower, upper = grid.control_bounds()
     clipped = np.clip(u, lower, upper)
-    events = []
+    below = u < lower - CLIP_TOL
+    outside = np.flatnonzero(below | (u > upper + CLIP_TOL))
+    if outside.size == 0:
+        return clipped, ()
     labels = control_labels(grid)
-    for i, (raw, lim_lo, lim_hi) in enumerate(zip(u, lower, upper)):
-        if raw < lim_lo - CLIP_TOL:
-            events.append(ClipEvent(labels[i].split(":", 1)[1], labels[i][0], float(raw), float(lim_lo)))
-        elif raw > lim_hi + CLIP_TOL:
-            events.append(ClipEvent(labels[i].split(":", 1)[1], labels[i][0], float(raw), float(lim_hi)))
+    events = []
+    for i in outside:
+        field, unit = labels[i].split(":", 1)
+        bound = lower[i] if below[i] else upper[i]
+        events.append(ClipEvent(unit, field, float(u[i]), float(bound)))
     return clipped, tuple(events)
 
 
 def apply_control(grid: GridModel, u: np.ndarray) -> GridModel:
     """Return a grid whose controllable-unit set points equal u (clipped to bounds).
 
-    Topology, limits, and fixed loads are untouched.
+    Topology, limits, and fixed loads are untouched; the result shares the
+    static network of ``grid`` (see :func:`derive_injections`).
     """
     clipped, _ = clip_control(grid, u)
     units = list(grid.flex_units)
     j = grid.n_ctrl
     for col, idx in enumerate(grid.ctrl_indices):
         units[idx] = replace(units[idx], p=float(clipped[col]), q=float(clipped[col + j]))
-    return replace(grid, flex_units=tuple(units))
+    return derive_injections(grid, flex_units=tuple(units))

@@ -19,7 +19,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -182,37 +182,35 @@ def build_step_qp(
     )
 
 
-def _plant_response(
-    grid: GridModel, u: np.ndarray, noise: NoiseModel | None, k: int
-) -> tuple[SystemState, MeasurementVector]:
-    plant = noise.perturb_grid(grid, k) if noise is not None else grid
-    state = solve_power_flow(apply_control(plant, u))
-    if not state.converged:
-        raise PowerFlowError(
-            f"plant power flow diverged at iteration {k} (mismatch {state.mismatch:.3e})"
-        )
-    meas_noise = noise.measurement_noise(k) if noise is not None else None
-    return state, measure(state, meas_noise)
-
-
-def ofo_step(
+def closed_loop_step(
     grid: GridModel,
     u: np.ndarray,
     smap,
     config: ControllerConfig,
-    setpoint: SetPoint,
+    gradient: Callable[[MeasurementVector], np.ndarray],
     k: int = 0,
     noise: NoiseModel | None = None,
+    initial: SystemState | None = None,
 ) -> tuple[OFOStep, SystemState]:
     """Run one closed-loop iteration against the true plant.
 
-    Returns the step record and the true plant state that produced the
-    measurement.  An infeasible QP holds the control (w = 0) rather than
-    taking an unreliable direction.
+    The step kernel of every loop (dispatch, region sweep, gain
+    calibration): solve the plant at u, Newton warm-started from
+    ``initial`` (the previous step's true state); measure it; solve the step
+    QP for the cost gradient ``gradient(y)``; clip the update to the unit
+    box.  Returns the step record and the true plant state that produced
+    the measurement.  An infeasible QP holds the control (w = 0) rather
+    than taking an unreliable direction.
     """
     u = np.asarray(u, dtype=float)
-    state, y = _plant_response(grid, u, noise, k)
-    grad_phi = grad_cost(y, setpoint)
+    plant = noise.perturb_grid(grid, k) if noise is not None else grid
+    state = solve_power_flow(apply_control(plant, u), initial=initial)
+    if not state.converged:
+        raise PowerFlowError(
+            f"plant power flow diverged at iteration {k} (mismatch {state.mismatch:.3e})"
+        )
+    y = measure(state, noise.measurement_noise(k) if noise is not None else None)
+    grad_phi = gradient(y)
     solution = solve_qp(build_step_qp(u, y, smap, grid, config, grad_phi))
     if solution.status == "optimal":
         w = solution.w
@@ -233,6 +231,22 @@ def ofo_step(
     return step, state
 
 
+def ofo_step(
+    grid: GridModel,
+    u: np.ndarray,
+    smap,
+    config: ControllerConfig,
+    setpoint: SetPoint,
+    k: int = 0,
+    noise: NoiseModel | None = None,
+    initial: SystemState | None = None,
+) -> tuple[OFOStep, SystemState]:
+    """One closed-loop iteration tracking ``setpoint`` (see closed_loop_step)."""
+    return closed_loop_step(
+        grid, u, smap, config, lambda y: grad_cost(y, setpoint), k, noise, initial
+    )
+
+
 def run_schedule(
     grid: GridModel,
     smap,
@@ -247,6 +261,7 @@ def run_schedule(
     its target (the update computed at that step is not applied), or after
     max_iterations.  A diverging plant aborts the run; the partial record is
     returned rather than raised so ensemble studies can keep the evidence.
+    Each step's power flow starts from the previous step's true state.
     """
     if not schedule:
         raise ControllerError("schedule must contain at least one set point")
@@ -261,13 +276,16 @@ def run_schedule(
     k = 0
     aborted = False
     reason = None
+    state = None
 
     for setpoint in schedule:
         seg_start = k
         seg_converged = False
         for _ in range(config.max_iterations):
             try:
-                step, state = ofo_step(grid, u, smap, config, setpoint, k=k, noise=noise)
+                step, state = ofo_step(
+                    grid, u, smap, config, setpoint, k=k, noise=noise, initial=state
+                )
             except PowerFlowError as exc:
                 aborted = True
                 reason = str(exc)

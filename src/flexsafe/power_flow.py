@@ -112,24 +112,29 @@ def measurement_labels(grid: GridModel) -> tuple[str, ...]:
     )
 
 
-def mismatch_jacobian(ybus: np.ndarray, voltage: np.ndarray, pq: list[int]) -> np.ndarray:
+def mismatch_jacobian(ybus_pq: np.ndarray, v_pq: np.ndarray, i_pq: np.ndarray) -> np.ndarray:
     """Jacobian of the stacked P/Q mismatch at PQ buses wrt [theta_pq, v_pq].
 
+    Takes the Ybus block on the PQ rows and columns, and the complex
+    voltage and current injection (full Ybus @ V) at the PQ buses.
     Complex bus-power derivatives in polar form:
         dS/dtheta = j diag(V) conj(diag(I) - Y diag(V))
         dS/dv     = diag(V) conj(Y diag(V/|V|)) + diag(conj(I) V/|V|)
     """
-    ibus = ybus @ voltage
-    vnorm = voltage / np.abs(voltage)
-    ds_dth = 1j * voltage[:, None] * np.conj(np.diag(ibus) - ybus * voltage[None, :])
-    ds_dvm = voltage[:, None] * np.conj(ybus * vnorm[None, :]) + np.diag(np.conj(ibus) * vnorm)
-    sel = np.ix_(pq, pq)
-    return np.block(
-        [
-            [ds_dth[sel].real, ds_dvm[sel].real],
-            [ds_dth[sel].imag, ds_dvm[sel].imag],
-        ]
-    )
+    npq = v_pq.size
+    vnorm = v_pq / np.abs(v_pq)
+    vy = v_pq[:, None] * np.conj(ybus_pq)
+    ds_dth = -1j * vy * np.conj(v_pq)[None, :]
+    ds_dvm = vy * np.conj(vnorm)[None, :]
+    diag = np.arange(npq)
+    ds_dth[diag, diag] += 1j * v_pq * np.conj(i_pq)
+    ds_dvm[diag, diag] += np.conj(i_pq) * vnorm
+    jac = np.empty((2 * npq, 2 * npq))
+    jac[:npq, :npq] = ds_dth.real
+    jac[:npq, npq:] = ds_dvm.real
+    jac[npq:, :npq] = ds_dth.imag
+    jac[npq:, npq:] = ds_dvm.imag
+    return jac
 
 
 def branch_flows(grid: GridModel, voltage: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,15 +156,18 @@ def solve_power_flow(
 ) -> SystemState:
     """Newton-Raphson fixed point of the nodal power balances.
 
-    Returns a state with converged=False (never raises) when the iteration
-    cap is hit; raises SingularJacobianError if the linearization degenerates.
+    Starts flat (1.0 p.u., zero angle) unless ``initial`` gives a state to
+    start from, such as the previous closed-loop step's.  Returns a state
+    with converged=False (never raises) when the iteration cap is hit;
+    raises SingularJacobianError if the linearization degenerates.
     """
     n = grid.n_bus
     slack = grid.slack_index
-    pq = list(grid.pq_indices)
-    npq = len(pq)
+    pq = grid.pq_indices
+    npq = pq.size
     s_spec = grid.bus_injections()
     ybus = grid.ybus
+    ybus_pq = grid.ybus_pq
 
     v = np.ones(n)
     th = np.zeros(n)
@@ -173,15 +181,16 @@ def solve_power_flow(
     converged = False
     while True:
         voltage = v * np.exp(1j * th)
-        mismatch = voltage * np.conj(ybus @ voltage) - s_spec
-        f = np.concatenate([mismatch[pq].real, mismatch[pq].imag])
+        ibus = ybus @ voltage
+        mismatch = (voltage * np.conj(ibus) - s_spec)[pq]
+        f = np.concatenate([mismatch.real, mismatch.imag])
         worst = float(np.max(np.abs(f))) if npq else 0.0
         if worst < tol:
             converged = True
             break
         if iterations >= max_iter:
             break
-        jac = mismatch_jacobian(ybus, voltage, pq)
+        jac = mismatch_jacobian(ybus_pq, voltage[pq], ibus[pq])
         try:
             dx = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError as exc:

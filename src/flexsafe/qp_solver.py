@@ -19,6 +19,7 @@ is used to cross-check the solver rather than trusting its own bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import nnls
@@ -28,6 +29,8 @@ TOL_QP = 1e-8
 
 #: Directions with squared norm below this are treated as zero steps.
 _ZERO_DIR = 1e-14
+
+_SIDES = ("lower", "upper")
 
 
 class QPError(Exception):
@@ -78,6 +81,11 @@ class QuadraticProgram:
     def n_var(self) -> int:
         return self.g.size
 
+    @cached_property
+    def expanded(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
+        """The one-sided rows (see _expand), built once per problem."""
+        return _expand(self)
+
     def objective(self, w: np.ndarray) -> float:
         return float(np.sum((np.asarray(w, dtype=float) + self.g) ** 2))
 
@@ -116,22 +124,20 @@ def _expand(problem: QuadraticProgram):
     """Rewrite two-sided rows as one-sided normals: c_i @ w >= b_i.
 
     Returns (c, b, tags) where tags[i] = (original row, "lower"|"upper").
+    Rows keep the original order, a row's lower side before its upper side;
+    infinite bounds give no row.
     """
-    rows: list[np.ndarray] = []
-    offsets: list[float] = []
-    tags: list[tuple[int, str]] = []
-    for i in range(problem.a.shape[0]):
-        if np.isfinite(problem.lower[i]):
-            rows.append(problem.a[i])
-            offsets.append(problem.lower[i])
-            tags.append((i, "lower"))
-        if np.isfinite(problem.upper[i]):
-            rows.append(-problem.a[i])
-            offsets.append(-problem.upper[i])
-            tags.append((i, "upper"))
-    if rows:
-        return np.vstack(rows), np.array(offsets), tags
-    return np.empty((0, problem.n_var)), np.empty(0), tags
+    bounds = np.empty(2 * problem.a.shape[0])
+    bounds[0::2] = problem.lower
+    bounds[1::2] = problem.upper
+    keep = np.flatnonzero(np.isfinite(bounds))
+    row, upper = keep >> 1, keep & 1
+    flip = upper.astype(bool)
+    c = problem.a[row]
+    c[flip] = -c[flip]
+    b = bounds[keep]
+    b[flip] = -b[flip]
+    return c, b, [(r, _SIDES[s]) for r, s in zip(row.tolist(), upper.tolist())]
 
 
 def _projection_step(c_active: list[np.ndarray], cp: np.ndarray):
@@ -150,7 +156,7 @@ def _projection_step(c_active: list[np.ndarray], cp: np.ndarray):
 
 def solve_qp(problem: QuadraticProgram, max_iter: int | None = None) -> QPSolution:
     """Solve the QP; status is "optimal", "infeasible" or "iteration_limit"."""
-    c_all, b_all, tags = _expand(problem)
+    c_all, b_all, tags = problem.expanded
     n_con = c_all.shape[0]
     if max_iter is None:
         max_iter = 50 * (n_con + problem.n_var) + 100
@@ -228,7 +234,7 @@ def check_kkt(
     """
     w = np.asarray(w, dtype=float)
     grad = 2.0 * (w + problem.g)
-    c_all, b_all, _ = _expand(problem)
+    c_all, b_all, _ = problem.expanded
     if c_all.shape[0] == 0:
         return KKTReport(
             stationarity=float(np.linalg.norm(grad)),

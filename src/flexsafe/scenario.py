@@ -64,6 +64,17 @@ def _as_mapping(doc: dict, key: str) -> dict:
     return val
 
 
+def _number(block: dict, key: str, default, kind: type, where: str):
+    """block[key] (or default) converted by ``kind``; a ScenarioError if it cannot be."""
+    raw = block.get(key, default)
+    try:
+        return kind(raw)
+    except (TypeError, ValueError):
+        raise ScenarioError(
+            f"{where}: '{key}' must be {'an integer' if kind is int else 'a number'}, got {raw!r}"
+        ) from None
+
+
 def _parse_schedule(raw) -> tuple[SetPoint, ...] | str:
     if raw == HULL_VERTICES:
         return HULL_VERTICES
@@ -90,9 +101,12 @@ def _parse_noise(block: dict | None) -> NoiseConfig | None:
     unknown = set(block) - {"seed", "load_sigma", "load_cov", "meas_bounds", "sens_bounds"}
     if unknown:
         raise ScenarioError(f"unknown noise keys: {sorted(unknown)}")
+    seed = _number(block, "seed", None, int, "noise block")
+    if seed < 0:
+        raise ScenarioError(f"noise block: 'seed' must be non-negative, got {seed}")
     try:
         return NoiseConfig(
-            seed=int(block["seed"]),
+            seed=seed,
             load_sigma=block.get("load_sigma"),
             load_cov=(
                 np.asarray(block["load_cov"], dtype=float)
@@ -106,7 +120,7 @@ def _parse_noise(block: dict | None) -> NoiseConfig | None:
                 tuple(block["sens_bounds"]) if block.get("sens_bounds") else None
             ),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"noise block: {exc}") from exc
 
 
@@ -143,9 +157,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ScenarioError("'controller' block requires 'alpha'")
     try:
         controller = ControllerConfig(
-            alpha=float(ctrl["alpha"]),
-            max_iterations=int(ctrl.get("max_iterations", 500)),
-            convergence_tol=float(ctrl.get("convergence_tol", 1e-3)),
+            alpha=_number(ctrl, "alpha", None, float, "controller block"),
+            max_iterations=_number(ctrl, "max_iterations", 500, int, "controller block"),
+            convergence_tol=_number(ctrl, "convergence_tol", 1e-3, float, "controller block"),
         )
     except ValueError as exc:
         raise ScenarioError(f"controller block: {exc}") from exc
@@ -154,7 +168,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
     u0 = None
     if doc.get("u0") is not None:
-        u0 = np.asarray(doc["u0"], dtype=float)
+        try:
+            u0 = np.asarray(doc["u0"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"u0 must be a list of numbers: {exc}") from exc
         if u0.shape != (2 * grid.n_ctrl,):
             raise ScenarioError(
                 f"u0 has {u0.size} entries; the grid has {2 * grid.n_ctrl} controls"
@@ -175,15 +192,15 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ScenarioError(f"unknown for keys: {sorted(unknown)}")
     try:
         sweep = SweepConfig(
-            n_angles=int(for_block.get("n_angles", 72)),
-            stage_iterations=int(for_block.get("stage_iterations", 400)),
-            gain_scale=float(for_block.get("gain_scale", 0.1)),
-            stall_tol=float(for_block.get("stall_tol", 1e-7)),
-            patience=int(for_block.get("patience", 8)),
+            n_angles=_number(for_block, "n_angles", 72, int, "for block"),
+            stage_iterations=_number(for_block, "stage_iterations", 400, int, "for block"),
+            gain_scale=_number(for_block, "gain_scale", 0.1, float, "for block"),
+            stall_tol=_number(for_block, "stall_tol", 1e-7, float, "for block"),
+            patience=_number(for_block, "patience", 8, int, "for block"),
         )
     except ValueError as exc:
         raise ScenarioError(f"for block: {exc}") from exc
-    oracle_samples = int(for_block.get("oracle_samples", 5000))
+    oracle_samples = _number(for_block, "oracle_samples", 5000, int, "for block")
     if oracle_samples < 1:
         raise ScenarioError("oracle_samples must be positive")
 
@@ -191,11 +208,14 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     unknown = set(mc_block) - {"n_trials", "histogram_bins", "histogram_iterations"}
     if unknown:
         raise ScenarioError(f"unknown mc keys: {sorted(unknown)}")
-    mc_trials = int(mc_block.get("n_trials", 100))
-    histogram_bins = int(mc_block.get("histogram_bins", 40))
+    mc_trials = _number(mc_block, "n_trials", 100, int, "mc block")
+    histogram_bins = _number(mc_block, "histogram_bins", 40, int, "mc block")
     if mc_trials < 1 or histogram_bins < 1:
         raise ScenarioError("mc n_trials and histogram_bins must be positive")
-    iterations = tuple(int(k) for k in mc_block.get("histogram_iterations", ()))
+    try:
+        iterations = tuple(int(k) for k in mc_block.get("histogram_iterations", ()))
+    except (TypeError, ValueError):
+        raise ScenarioError("mc block: 'histogram_iterations' must be a list of integers") from None
     if any(k < 0 for k in iterations):
         raise ScenarioError("histogram_iterations must be non-negative")
 

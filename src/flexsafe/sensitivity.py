@@ -147,7 +147,7 @@ def compute_sensitivity(grid: GridModel, u0: np.ndarray | None = None) -> Sensit
     npq = len(pq)
     pos = {bus: i for i, bus in enumerate(pq)}
 
-    jac = mismatch_jacobian(grid_u.ybus, voltage, pq)
+    jac = mismatch_jacobian(grid_u.ybus_pq, voltage[pq], (grid_u.ybus @ voltage)[pq])
     selector = np.zeros((2 * npq, 2 * grid_u.n_ctrl))
     j = grid_u.n_ctrl
     for col, ui in enumerate(grid_u.ctrl_indices):

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from flexsafe.grid_model import LOAD_CLASSES, GridModel
+from flexsafe.grid_model import LOAD_CLASSES, GridModel, derive_injections
 from flexsafe.power_flow import MeasurementNoise
 from flexsafe.ofo_controller import ControllerConfig, SetPoint, Trajectory, run_schedule
 from flexsafe.sensitivity import SensitivityMap, compute_sensitivity, perturb_sensitivity
@@ -123,7 +123,7 @@ def _with_load_delta(grid: GridModel, delta: np.ndarray) -> GridModel:
         replace(ld, p=ld.p + float(dp), q=ld.q + float(dq))
         for ld, (dp, dq) in zip(grid.fixed_loads, delta)
     )
-    return replace(grid, fixed_loads=loads)
+    return derive_injections(grid, fixed_loads=loads)
 
 
 @dataclass(frozen=True)

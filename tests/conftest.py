@@ -188,8 +188,11 @@ def make_lattice_instance(
     return problem, w_star
 
 
-def lattice_argmin(problem: QuadraticProgram, points: np.ndarray) -> np.ndarray:
-    """Brute-force feasible minimizer of the QP over the shared lattice."""
+def lattice_argmin_brute(problem: QuadraticProgram, points: np.ndarray) -> np.ndarray:
+    """Brute-force feasible minimizer of the QP over the shared lattice.
+
+    The reference for lattice_argmin: every point is tested and scored.
+    """
     feasible = np.ones(points.shape[0], dtype=bool)
     vals = points @ problem.a.T
     feasible &= np.all(vals >= problem.lower - 1e-12, axis=1)
@@ -200,3 +203,54 @@ def lattice_argmin(problem: QuadraticProgram, points: np.ndarray) -> np.ndarray:
     obj = np.einsum("ij,ij->i", diff, diff)
     obj[~feasible] = np.inf
     return points[int(np.argmin(obj))]
+
+
+def lattice_argmin(problem: QuadraticProgram, points: np.ndarray) -> np.ndarray:
+    """The point lattice_argmin_brute returns, found without scanning the lattice.
+
+    ``points`` is the (N*N, 2) lattice of ``lattice_points``, row i holding
+    p = axis[i] against every q.  Along a lattice row each constraint value
+    ``points @ a.T`` is monotone in q, because rounding is monotone, so the
+    feasible q form one interval per row.  Its two ends are bisected for all
+    rows at once, evaluating the same expressions as the brute force on
+    the probed points only.  The objective along a row falls and then rises,
+    so only the clamped points around its unconstrained minimum can win;
+    they are scored with the same expression, and ties go to the first
+    flat index, as np.argmin breaks them.
+    """
+    n = math.isqrt(points.shape[0])
+    a = problem.a
+    base = np.arange(n) * n
+    rising_lower, falling_lower = a[:, 1] >= 0, a[:, 1] <= 0
+
+    def holds(cols: np.ndarray, lower_rows: np.ndarray, upper_rows: np.ndarray) -> np.ndarray:
+        vals = points[base + cols] @ a.T
+        ok = (vals >= problem.lower - 1e-12) | ~lower_rows
+        ok &= (vals <= problem.upper + 1e-12) | ~upper_rows
+        return np.all(ok, axis=1)
+
+    def first_true(pred) -> np.ndarray:
+        """Per row, the first column where a false-then-true predicate holds (n if none)."""
+        lo, hi = np.zeros(n, dtype=int), np.full(n, n)
+        while np.any(lo < hi):
+            mid = (lo + hi) // 2
+            ok = pred(np.minimum(mid, n - 1)) & (mid < n)
+            hi = np.where(ok, mid, hi)
+            lo = np.where(ok, lo, np.minimum(mid + 1, hi))
+        return lo
+
+    # Rows whose q coefficient is zero are constant along a lattice row and
+    # belong to both ends; each end is the conjunction of the monotone tests.
+    start = first_true(lambda cols: holds(cols, rising_lower, falling_lower))
+    stop = first_true(lambda cols: ~holds(cols, falling_lower, rising_lower))
+    rows = np.flatnonzero(start < stop)
+    if rows.size == 0:
+        raise ValueError("no feasible lattice point; bad instance")
+
+    axis = points[:n, 1]
+    centre = np.searchsorted(axis, -problem.g[1])
+    cols = np.clip(centre + np.arange(-2, 2)[:, None], start[rows], stop[rows] - 1)
+    flat = np.unique(base[rows] + cols)
+    diff = points[flat] + problem.g
+    obj = np.einsum("ij,ij->i", diff, diff)
+    return points[flat[int(np.argmin(obj))]]

@@ -114,6 +114,29 @@ def test_run_reuses_cached_region(workdir):
     assert (out / "for_region.csv").read_bytes() == region_before
 
 
+def test_region_cache_recomputed_when_inputs_change(workdir):
+    shutil.copy(grid_path("ring4_tightv"), workdir / "ring4_tightv.json")
+    short = {"alpha": 0.1, "max_iterations": 20}
+    plain = write_scenario(workdir, base_doc(controller=short), name="plain.json")
+    tight = write_scenario(
+        workdir, base_doc(grid="ring4_tightv.json", controller=short), name="tight.json"
+    )
+    out = workdir / "art"
+    assert main(["for", str(plain), "--out", str(out)]) == 0
+    plain_region = (out / "for_region.csv").read_bytes()
+    assert main(["run", str(tight), "--out", str(out)]) == 0
+    tight_region = (out / "for_region.csv").read_bytes()
+    assert tight_region != plain_region
+    fresh = workdir / "fresh"
+    assert main(["for", str(tight), "--out", str(fresh)]) == 0
+    assert (fresh / "for_region.csv").read_bytes() == tight_region
+    # The sweep settings are part of the stamp too.
+    finer_doc = base_doc(grid="ring4_tightv.json", controller=short, **{"for": {"n_angles": 9}})
+    finer = write_scenario(workdir, finer_doc, name="finer.json")
+    assert main(["run", str(finer), "--out", str(out)]) == 0
+    assert len((out / "for_region.csv").read_text().splitlines()) == 1 + 9
+
+
 def test_run_hull_vertices_fans_out(workdir):
     path = write_scenario(workdir, base_doc(schedule="hull-vertices"))
     out = workdir / "art"
@@ -136,6 +159,22 @@ def test_mc_requires_explicit_schedule(workdir, capsys):
     assert main(["mc", str(path)]) == 1
     assert "schedule" in capsys.readouterr().err
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n_trials", [None, "abc"])
+def test_bad_trial_count_exits_1(workdir, capsys, n_trials):
+    path = write_scenario(workdir, base_doc(noise=NOISE, mc={"n_trials": n_trials}))
+    assert main(["mc", str(path)]) == 1
+    assert "n_trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--jobs", "0"], ["--seed", "-1"], ["--jobs", "two"]])
+def test_bad_numeric_flags_exit_1(workdir, capsys, flag):
+    path = write_scenario(workdir, base_doc(noise=NOISE, mc={"n_trials": 2}))
+    assert main(["mc", str(path), *flag]) == 1
+    err = capsys.readouterr().err
+    assert flag[0] in err and "numerical failure" not in err
+    assert not (workdir / "scenario_out").exists()
 
 
 def test_mc_artifacts_and_reruns_identical(workdir):

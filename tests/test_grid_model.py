@@ -11,6 +11,7 @@ from flexsafe.grid_model import (
     apply_control,
     clip_control,
     control_labels,
+    derive_injections,
     load_grid,
     save_grid,
     validate,
@@ -132,6 +133,19 @@ def test_apply_control_is_pure(ring4):
     assert g2.buses is ring4.buses  # topology shared, units replaced
 
 
+def test_derived_grids_share_the_static_network(ring4):
+    g2 = apply_control(ring4, np.array([0.1, -0.2, 0.05, 0.0]))
+    assert g2.ybus is ring4.ybus
+    assert g2.ybus_pq is ring4.ybus_pq
+    assert g2.branch_admittance is ring4.branch_admittance
+    assert g2.pq_indices is ring4.pq_indices
+    assert g2.control_bounds() is ring4.control_bounds()
+    assert apply_control(g2, np.zeros(4)).ybus is ring4.ybus
+    assert not np.array_equal(g2.bus_injections(), ring4.bus_injections())
+    with pytest.raises(ValueError):
+        derive_injections(ring4, buses=ring4.buses)
+
+
 def test_clip_control(ring4):
     lower, upper = ring4.control_bounds()
     req = upper + 0.5
@@ -144,6 +158,11 @@ def test_clip_control(ring4):
     same, events = clip_control(ring4, inside)
     assert np.allclose(same, inside)
     assert events == ()
+
+    low = inside.copy()
+    low[3] = lower[3] - 0.25
+    _, events = clip_control(ring4, low)
+    assert [(e.unit, e.field, e.bound) for e in events] == [("g4", "q", lower[3])]
 
     with pytest.raises(ValueError):
         clip_control(ring4, np.zeros(3))

@@ -137,6 +137,25 @@ def test_warm_start_accepts_previous_state(ring4):
     assert np.allclose(warm.v, cold.v, atol=1e-10)
 
 
+@pytest.mark.parametrize("name", ALL_GRIDS)
+def test_warm_start_matches_flat_start(name):
+    """Started from a neighbouring state, Newton lands on the flat-start solution."""
+    grid = load_grid(grid_path(name))
+    lower, upper = grid.control_bounds()
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        u = rng.uniform(lower, upper)
+        near = np.clip(u + rng.normal(scale=0.05, size=u.size), lower, upper)
+        flat = solve_power_flow(apply_control(grid, u))
+        neighbour = solve_power_flow(apply_control(grid, near))
+        assert flat.converged and neighbour.converged
+        warm = solve_power_flow(apply_control(grid, u), initial=neighbour)
+        assert warm.converged
+        assert np.max(np.abs(warm.v - flat.v)) <= 1e-8
+        assert abs(warm.p_pcc - flat.p_pcc) <= 1e-8
+        assert abs(warm.q_pcc - flat.q_pcc) <= 1e-8
+
+
 def test_limit_violation_sign(ring4, ring4_tightv):
     state = solve_power_flow(ring4)
     assert limit_violation(ring4, state) <= 0.0

@@ -7,6 +7,7 @@ from flexsafe.qp_solver import (
     KKTReport,
     QPError,
     QuadraticProgram,
+    _expand,
     check_kkt,
     solve_qp,
 )
@@ -14,6 +15,7 @@ from flexsafe.qp_solver import (
 from conftest import (
     LATTICE_SPACING,
     lattice_argmin,
+    lattice_argmin_brute,
     make_lattice_instance,
 )
 
@@ -132,6 +134,68 @@ def test_matches_lattice_oracle(lattice_points, n_active):
         brute = lattice_argmin(problem, lattice_points)
         assert np.max(np.abs(sol.w - brute)) <= LATTICE_SPACING
         assert sol.kkt_residual < 1e-8
+
+
+def test_lattice_oracle_matches_brute_force(lattice_points):
+    """The bisecting oracle returns exactly the point the full scan returns."""
+    rng = np.random.default_rng(424242)
+    problems = [make_lattice_instance(rng, n_active=1 + i % 2)[0] for i in range(2)]
+    # Two-sided, upper-only and q-free rows, with the optimum on the boundary.
+    problems.append(
+        QuadraticProgram(
+            g=np.array([0.3, -0.8]),
+            a=np.array([[1.0, 0.0], [0.4, -1.0], [0.6, 0.8]]),
+            lower=np.array([-0.5, -np.inf, -0.2]),
+            upper=np.array([0.4, 0.3, np.inf]),
+        )
+    )
+    for problem in problems:
+        fast = lattice_argmin(problem, lattice_points)
+        assert np.array_equal(fast, lattice_argmin_brute(problem, lattice_points))
+
+
+def _expand_row_loop(problem):
+    """Row-by-row expansion into one-sided rows; the reference for _expand."""
+    rows, offsets, tags = [], [], []
+    for i in range(problem.a.shape[0]):
+        if np.isfinite(problem.lower[i]):
+            rows.append(problem.a[i])
+            offsets.append(problem.lower[i])
+            tags.append((i, "lower"))
+        if np.isfinite(problem.upper[i]):
+            rows.append(-problem.a[i])
+            offsets.append(-problem.upper[i])
+            tags.append((i, "upper"))
+    if rows:
+        return np.vstack(rows), np.array(offsets), tags
+    return np.empty((0, problem.n_var)), np.empty(0), tags
+
+
+def test_expand_matches_row_loop():
+    rng = np.random.default_rng(8)
+    problems = [
+        QuadraticProgram(
+            g=np.zeros(2),
+            a=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+            lower=np.array([-np.inf, 0.5, -1.0]),
+            upper=np.array([np.inf, np.inf, 2.0]),
+        )
+    ]
+    for _ in range(200):
+        m, n = int(rng.integers(0, 7)), int(rng.integers(1, 4))
+        lower = rng.normal(size=m) - 1.0
+        upper = lower + rng.uniform(0.0, 2.0, size=m)
+        lower[rng.random(m) < 0.3] = -np.inf
+        upper[rng.random(m) < 0.3] = np.inf
+        a = rng.normal(size=(m, n))
+        problems.append(QuadraticProgram(g=rng.normal(size=n), a=a, lower=lower, upper=upper))
+    for problem in problems:
+        c, b, tags = _expand(problem)
+        c_ref, b_ref, tags_ref = _expand_row_loop(problem)
+        assert c.shape == c_ref.shape and np.array_equal(c, c_ref)
+        assert np.array_equal(b, b_ref)
+        assert tags == tags_ref
+    assert problems[0].expanded is problems[0].expanded  # built once per problem
 
 
 def test_check_kkt_flags_suboptimal_point():

@@ -106,6 +106,9 @@ def test_grid_path_relative_to_scenario(scenario_dir):
         (lambda d: d.update({"for": {"n_angles": 2}}), "for block"),
         (lambda d: d.update({"for": {"rays": 9}}), "unknown for keys"),
         (lambda d: d.update(mc={"n_trials": 0}), "positive"),
+        (lambda d: d.update(mc={"n_trials": None}), "'n_trials' must be an integer"),
+        (lambda d: d.update(mc={"n_trials": "abc"}), "'n_trials' must be an integer"),
+        (lambda d: d.update(noise={"seed": -1}), "'seed' must be non-negative"),
         (lambda d: d.update(mc={"walks": 1}), "unknown mc keys"),
     ],
 )

@@ -103,6 +103,14 @@ def test_trial_noise_is_frozen_and_deterministic(ring4):
     assert g3 != g1
 
 
+def test_perturbed_grid_shares_the_static_network(ring4):
+    sigma = {"household": 0.05, "industry": 0.05, "commercial": 0.05}
+    noise = TrialNoise(NoiseConfig(seed=3, load_sigma=sigma), trial=0)
+    plant = noise.perturb_grid(ring4, k=2)
+    assert plant.ybus is ring4.ybus
+    assert plant.fixed_loads != ring4.fixed_loads
+
+
 def test_sensitivity_perturbation_fixed_within_trial(ring4):
     config = NoiseConfig(seed=3, sens_bounds=(-0.05, 0.05))
     smap = compute_sensitivity(ring4)
