@@ -52,6 +52,7 @@ from flexsafe.ofo_controller import (
     grad_cost,
     ofo_step,
     run_schedule,
+    step_qp_template,
 )
 from flexsafe.for_region import (
     DirectionSigns,

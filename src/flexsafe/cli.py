@@ -1,14 +1,14 @@
 """Command-line front end: chart a region, run a schedule, or study noise.
 
-    flexsafe for  <scenario.json> [--out DIR] [--seed S] [--jobs N]
-    flexsafe run  <scenario.json> [--out DIR] [--seed S] [--jobs N]
+    flexsafe for  <scenario.json> [--out DIR] [--seed S]
+    flexsafe run  <scenario.json> [--out DIR] [--seed S]
     flexsafe mc   <scenario.json> [--out DIR] [--seed S] [--jobs N]
 
-Exit codes: 0 the study completed (whatever its verdict), 1 anything wrong
-with the inputs (command line, scenario, grid file), 2 a numerical failure
-mid-study.  All artifacts are deterministic for a fixed scenario and seed:
-rerunning a command reproduces every output byte, and --jobs changes only
-the wall-clock time.
+Exit codes: 0 the study completed (whatever its verdict) or --help was
+asked for, 1 anything wrong with the inputs (command line, scenario, grid
+file), 2 a numerical failure mid-study.  All artifacts are deterministic for
+a fixed scenario and seed: rerunning a command reproduces every output byte,
+and mc's --jobs changes only the wall-clock time.
 """
 
 from __future__ import annotations
@@ -280,7 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=text)
         sp.add_argument("config", type=Path, help="scenario JSON file")
-        sp.add_argument("--jobs", type=_integer_at_least(1), default=1, help="worker processes")
+        if name == "mc":
+            sp.add_argument(
+                "--jobs", type=_integer_at_least(1), default=1, help="worker processes"
+            )
         sp.add_argument("--out", type=Path, default=None, help="artifact directory")
         sp.add_argument(
             "--seed", type=_integer_at_least(0), default=None, help="override the master seed"
@@ -293,10 +296,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
-        # argparse has already printed the usage message; a bad command
-        # line is an input error, same as a bad scenario file.
-        return 1
+    except SystemExit as exc:
+        # argparse has already printed help (code 0) or the usage message;
+        # a bad command line is an input error, same as a bad scenario file.
+        return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
     except (ScenarioError, GridError, OSError) as exc:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from flexsafe.grid_model import GridModel, apply_control, control_labels
+from flexsafe.grid_model import GridModel, control_labels
 from flexsafe.power_flow import (
     MeasurementVector,
     PowerFlowError,
@@ -28,7 +28,7 @@ from flexsafe.power_flow import (
     limit_violation,
     solve_power_flow,
 )
-from flexsafe.ofo_controller import ControllerConfig, closed_loop_step
+from flexsafe.ofo_controller import ControllerConfig, closed_loop_step, step_qp_template
 from flexsafe.sensitivity import SensitivityMap, compute_sensitivity
 
 
@@ -191,9 +191,10 @@ def _push_direction(
     The per-iteration cost -kappa (c . x) + mu (n . x)^2 (c the ray
     direction, n its normal) is minimized with the controller's own
     constrained step; the gain is scaled to the cost curvature seen through
-    the PCC rows of the sensitivity map.  Steps warm-start their power flow
-    from the previous step; the pinned point is solved from a flat start,
-    as verify_vertices re-solves it.
+    the PCC rows of the sensitivity map.  Each stage derives its step QPs
+    from one step_qp_template.  Steps warm-start their power flow from the
+    previous step; the pinned point is solved from a flat start, as
+    verify_vertices re-solves it.
     """
     c = np.array([math.cos(theta), math.sin(theta)])
     n_vec = np.array([-math.sin(theta), math.cos(theta)])
@@ -209,6 +210,7 @@ def _push_direction(
     for kappa, mu in config.stages:
         alpha = config.gain_scale / (mu * sigma_n2 + kappa * sigma_c2)
         cfg = ControllerConfig(alpha=alpha, max_iterations=1)
+        template = step_qp_template(grid, smap, alpha)
 
         def gradient(y: MeasurementVector, kappa=kappa, mu=mu) -> np.ndarray:
             perp = float(n_vec @ [y.p_pcc, y.q_pcc])
@@ -219,7 +221,9 @@ def _push_direction(
 
         stall = 0
         for _ in range(config.stage_iterations):
-            step, state = closed_loop_step(grid, u, smap, cfg, gradient, k=k, initial=state)
+            step, state = closed_loop_step(
+                grid, u, smap, cfg, gradient, k=k, initial=state, template=template
+            )
             k += 1
             if step.qp_status != "optimal":
                 break
@@ -231,7 +235,7 @@ def _push_direction(
                     break
             else:
                 stall = 0
-    state = solve_power_flow(apply_control(grid, u))
+    state = solve_power_flow(grid, control=u)
     if not state.converged:
         raise PowerFlowError("power flow diverged at the pinned point")
     return u, state
@@ -320,7 +324,7 @@ def sample_oracle_for(
     for _ in range(n_samples):
         u = rng.uniform(lower, upper)
         try:
-            state = solve_power_flow(apply_control(grid, u))
+            state = solve_power_flow(grid, control=u)
         except PowerFlowError:
             n_diverged += 1
             continue
@@ -353,7 +357,7 @@ def verify_vertices(grid: GridModel, polygon: FORPolygon) -> tuple[np.ndarray, n
     violations = np.empty(polygon.n_vertices)
     drift = np.empty(polygon.n_vertices)
     for i, u in enumerate(polygon.controls):
-        state = solve_power_flow(apply_control(grid, u))
+        state = solve_power_flow(grid, control=u)
         if not state.converged:
             raise PowerFlowError(f"vertex {i} control no longer solves")
         violations[i] = limit_violation(grid, state)

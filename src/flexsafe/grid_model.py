@@ -2,7 +2,8 @@
 
 Grid files carry physical units (MW / MVAr / kV); everything in memory is
 per-unit on ``s_base``.  The model is immutable after load -- controller
-updates go through :func:`apply_control`, which returns a new value, so a
+updates go through :func:`apply_control`, which returns a new value, or
+reach the power flow as a control vector (``bus_injections(control)``), so a
 single model can be shared freely across concurrent trials.
 
 The static network (index maps, limit vectors, branch admittances, Ybus)
@@ -155,6 +156,12 @@ class GridModel:
         """Indices into flex_units of the controllable units, in declaration order."""
         return tuple(i for i, fu in enumerate(self.flex_units) if fu.controllable)
 
+    @cached_property
+    def ctrl_buses(self) -> np.ndarray:
+        """Bus index of each controllable unit, in control-vector order (read-only)."""
+        units = [self.flex_units[i] for i in self.ctrl_indices]
+        return _read_only(np.array([self.bus_index[fu.bus] for fu in units], dtype=int))
+
     @property
     def n_ctrl(self) -> int:
         return len(self.ctrl_indices)
@@ -189,14 +196,32 @@ class GridModel:
         upper = np.array([fu.p_max for fu in units] + [fu.q_max for fu in units])
         return _read_only(lower), _read_only(upper)
 
-    def bus_injections(self) -> np.ndarray:
-        """Net complex injection per bus (generation positive), p.u."""
+    def bus_injections(self, control: np.ndarray | None = None) -> np.ndarray:
+        """Net complex injection per bus (generation positive), p.u.
+
+        With ``control``, the controllable units inject that control vector
+        instead of their set points, clipped silently to their boxes: the
+        injections of ``apply_control(self, control)``, without building it.
+        """
+        if control is None:
+            u = self.control_vector()
+        else:
+            u = np.clip(_as_control(self, control), *self.control_bounds())
+        j = self.n_ctrl
+        s = self._uncontrolled_injections.copy()
+        np.add.at(s, self.ctrl_buses, u[:j] + 1j * u[j:])
+        return s
+
+    @cached_property
+    def _uncontrolled_injections(self) -> np.ndarray:
+        """Injection per bus of the fixed loads and non-controllable units (read-only)."""
         s = np.zeros(self.n_bus, dtype=complex)
         for fu in self.flex_units:
-            s[self.bus_index[fu.bus]] += fu.p + 1j * fu.q
+            if not fu.controllable:
+                s[self.bus_index[fu.bus]] += fu.p + 1j * fu.q
         for ld in self.fixed_loads:
             s[self.bus_index[ld.bus]] -= ld.p + 1j * ld.q
-        return s
+        return _read_only(s)
 
     # ---- network matrices ------------------------------------------------
 
@@ -242,7 +267,8 @@ class GridModel:
 #: share them with the grid they came from.
 _STATIC = (
     "bus_index", "branch_index", "slack_index", "pq_indices", "pcc_index", "ctrl_indices",
-    "v_min", "v_max", "s_max", "_control_box", "branch_ends", "branch_admittance", "ybus", "ybus_pq",
+    "ctrl_buses", "v_min", "v_max", "s_max", "_control_box", "branch_ends", "branch_admittance",
+    "ybus", "ybus_pq",
 )
 
 
@@ -511,13 +537,19 @@ def validate(grid: GridModel) -> list[str]:
 # ---- control application ----------------------------------------------------
 
 
-def clip_control(grid: GridModel, u: np.ndarray) -> tuple[np.ndarray, tuple[ClipEvent, ...]]:
-    """Clip a control vector to the unit boxes, reporting non-trivial clips."""
+def _as_control(grid: GridModel, u) -> np.ndarray:
+    """u as a float array, checked to have the grid's control-vector length."""
     u = np.asarray(u, dtype=float)
     if u.shape != (2 * grid.n_ctrl,):
         raise ValueError(
             f"control vector has length {u.size}, expected {2 * grid.n_ctrl}"
         )
+    return u
+
+
+def clip_control(grid: GridModel, u: np.ndarray) -> tuple[np.ndarray, tuple[ClipEvent, ...]]:
+    """Clip a control vector to the unit boxes, reporting non-trivial clips."""
+    u = _as_control(grid, u)
     lower, upper = grid.control_bounds()
     clipped = np.clip(u, lower, upper)
     below = u < lower - CLIP_TOL

@@ -23,7 +23,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from flexsafe.grid_model import GridModel, apply_control, clip_control, control_labels
+from flexsafe.grid_model import GridModel, clip_control, control_labels
 from flexsafe.power_flow import (
     MeasurementNoise,
     MeasurementVector,
@@ -149,6 +149,34 @@ def grad_cost(y: MeasurementVector, setpoint: SetPoint) -> np.ndarray:
     return grad
 
 
+def step_qp_template(grid: GridModel, smap, alpha: float) -> QuadraticProgram:
+    """The part of every step QP that stays fixed for a run.
+
+    Rows, in order: control box, voltage band, flow limits, all on the
+    step alpha w: the matrix [alpha I; alpha M_v; alpha M_s] and its row
+    labels.  The bounds are the limits themselves (the offsets at u = 0,
+    y = 0), so the template has the steps' finite bounds and its one-sided
+    normals and their Gram matrix serve every step (see build_step_qp).
+    """
+    m_mat = smap.matrix
+    n, m = grid.n_bus, grid.n_branch
+    lower_u, upper_u = grid.control_bounds()
+    a = np.vstack(
+        [
+            alpha * np.eye(lower_u.size),
+            alpha * m_mat[:n],
+            alpha * m_mat[n : n + m],
+        ]
+    )
+    return QuadraticProgram(
+        g=np.zeros(a.shape[1]),
+        a=a,
+        lower=np.concatenate([lower_u, grid.v_min, np.zeros(m)]),
+        upper=np.concatenate([upper_u, grid.v_max, grid.s_max]),
+        labels=(*control_labels(grid), *measurement_labels(grid)[: n + m]),
+    )
+
+
 def build_step_qp(
     u: np.ndarray,
     y: MeasurementVector,
@@ -156,30 +184,23 @@ def build_step_qp(
     grid: GridModel,
     config: ControllerConfig,
     grad_phi: np.ndarray,
+    template: QuadraticProgram | None = None,
 ) -> QuadraticProgram:
     """Assemble the per-step direction QP at measurement y and control u.
 
     Rows, in order: control box (exact, on the true u), voltage band and
     flow limits (linearized around the measurement).  All rows are written
-    on the post-step point u + alpha w.
+    on the post-step point u + alpha w.  ``template`` is
+    step_qp_template(grid, smap, config.alpha), built here when not given;
+    a loop passes one template to all its steps, which then only supply
+    their gradient and offsets.
     """
-    m_mat = smap.matrix
-    n, m = grid.n_bus, grid.n_branch
-    alpha = config.alpha
+    if template is None:
+        template = step_qp_template(grid, smap, config.alpha)
     lower_u, upper_u = grid.control_bounds()
-    a = np.vstack(
-        [
-            alpha * np.eye(u.size),
-            alpha * m_mat[:n],
-            alpha * m_mat[n : n + m],
-        ]
-    )
     lower = np.concatenate([lower_u - u, grid.v_min - y.v, -y.s])
     upper = np.concatenate([upper_u - u, grid.v_max - y.v, grid.s_max - y.s])
-    labels = (*control_labels(grid), *measurement_labels(grid)[: n + m])
-    return QuadraticProgram(
-        g=2.0 * (m_mat.T @ grad_phi), a=a, lower=lower, upper=upper, labels=labels
-    )
+    return template.with_vectors(2.0 * (smap.matrix.T @ grad_phi), lower, upper)
 
 
 def closed_loop_step(
@@ -191,6 +212,7 @@ def closed_loop_step(
     k: int = 0,
     noise: NoiseModel | None = None,
     initial: SystemState | None = None,
+    template: QuadraticProgram | None = None,
 ) -> tuple[OFOStep, SystemState]:
     """Run one closed-loop iteration against the true plant.
 
@@ -198,20 +220,21 @@ def closed_loop_step(
     calibration): solve the plant at u, Newton warm-started from
     ``initial`` (the previous step's true state); measure it; solve the step
     QP for the cost gradient ``gradient(y)``; clip the update to the unit
-    box.  Returns the step record and the true plant state that produced
-    the measurement.  An infeasible QP holds the control (w = 0) rather
-    than taking an unreliable direction.
+    box.  ``template`` is the loop's step_qp_template for (grid, smap,
+    config.alpha).  Returns the step record and the true plant state that
+    produced the measurement.  An infeasible QP holds the control (w = 0)
+    rather than taking an unreliable direction.
     """
     u = np.asarray(u, dtype=float)
     plant = noise.perturb_grid(grid, k) if noise is not None else grid
-    state = solve_power_flow(apply_control(plant, u), initial=initial)
+    state = solve_power_flow(plant, initial=initial, control=u)
     if not state.converged:
         raise PowerFlowError(
             f"plant power flow diverged at iteration {k} (mismatch {state.mismatch:.3e})"
         )
     y = measure(state, noise.measurement_noise(k) if noise is not None else None)
     grad_phi = gradient(y)
-    solution = solve_qp(build_step_qp(u, y, smap, grid, config, grad_phi))
+    solution = solve_qp(build_step_qp(u, y, smap, grid, config, grad_phi, template))
     if solution.status == "optimal":
         w = solution.w
         u_next, _ = clip_control(grid, u + config.alpha * w)
@@ -240,10 +263,11 @@ def ofo_step(
     k: int = 0,
     noise: NoiseModel | None = None,
     initial: SystemState | None = None,
+    template: QuadraticProgram | None = None,
 ) -> tuple[OFOStep, SystemState]:
     """One closed-loop iteration tracking ``setpoint`` (see closed_loop_step)."""
     return closed_loop_step(
-        grid, u, smap, config, lambda y: grad_cost(y, setpoint), k, noise, initial
+        grid, u, smap, config, lambda y: grad_cost(y, setpoint), k, noise, initial, template
     )
 
 
@@ -261,7 +285,8 @@ def run_schedule(
     its target (the update computed at that step is not applied), or after
     max_iterations.  A diverging plant aborts the run; the partial record is
     returned rather than raised so ensemble studies can keep the evidence.
-    Each step's power flow starts from the previous step's true state.
+    Each step's power flow starts from the previous step's true state, and
+    every step derives its QP from one step_qp_template.
     """
     if not schedule:
         raise ControllerError("schedule must contain at least one set point")
@@ -277,6 +302,7 @@ def run_schedule(
     aborted = False
     reason = None
     state = None
+    template = step_qp_template(grid, smap, config.alpha)
 
     for setpoint in schedule:
         seg_start = k
@@ -284,7 +310,8 @@ def run_schedule(
         for _ in range(config.max_iterations):
             try:
                 step, state = ofo_step(
-                    grid, u, smap, config, setpoint, k=k, noise=noise, initial=state
+                    grid, u, smap, config, setpoint,
+                    k=k, noise=noise, initial=state, template=template,
                 )
             except PowerFlowError as exc:
                 aborted = True

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flexsafe.grid_model import GridModel, apply_control
+from flexsafe.grid_model import GridModel
 
 TOL_PF = 1e-8
 MAX_ITER_PF = 30
@@ -153,11 +153,14 @@ def solve_power_flow(
     initial: SystemState | None = None,
     tol: float = TOL_PF,
     max_iter: int = MAX_ITER_PF,
+    control: np.ndarray | None = None,
 ) -> SystemState:
     """Newton-Raphson fixed point of the nodal power balances.
 
     Starts flat (1.0 p.u., zero angle) unless ``initial`` gives a state to
-    start from, such as the previous closed-loop step's.  Returns a state
+    start from, such as the previous closed-loop step's.  With ``control``,
+    solves the grid as ``apply_control(grid, control)`` would give it (see
+    GridModel.bus_injections), without deriving that grid.  Returns a state
     with converged=False (never raises) when the iteration cap is hit;
     raises SingularJacobianError if the linearization degenerates.
     """
@@ -165,7 +168,7 @@ def solve_power_flow(
     slack = grid.slack_index
     pq = grid.pq_indices
     npq = pq.size
-    s_spec = grid.bus_injections()
+    s_spec = grid.bus_injections(control)
     ybus = grid.ybus
     ybus_pq = grid.ybus_pq
 
@@ -261,7 +264,7 @@ def steady_state_map(
     max_iter: int = MAX_ITER_PF,
 ) -> MeasurementVector:
     """Noise-free steady-state map u -> y; the ground-truth oracle for tests."""
-    state = solve_power_flow(apply_control(grid, u), tol=tol, max_iter=max_iter)
+    state = solve_power_flow(grid, tol=tol, max_iter=max_iter, control=u)
     if not state.converged:
         raise PowerFlowError(
             f"power flow did not converge in {max_iter} iterations "

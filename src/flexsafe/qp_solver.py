@@ -14,21 +14,30 @@ primal nor a dual step exists.
 check_kkt verifies a candidate point against the KKT system through an
 independent route (non-negative least squares on the active gradients) and
 is used to cross-check the solver rather than trusting its own bookkeeping.
+
+A problem whose matrix stays fixed while g and the bounds change (the
+controller's step QP) is built once as a template; with_vectors derives each
+instance from it and shares the one-sided normals and their Gram matrix, so
+only the vectors are checked and expanded per solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import nnls
 
 #: Constraint-violation threshold: slacks above -TOL_QP count as satisfied.
 TOL_QP = 1e-8
 
 #: Directions with squared norm below this are treated as zero steps.
 _ZERO_DIR = 1e-14
+
+#: nnls frees at most this many columns per column of its matrix, the cap
+#: of the reference Lawson-Hanson implementation.
+_NNLS_PASSES = 3
 
 _SIDES = ("lower", "upper")
 
@@ -53,33 +62,79 @@ class QuadraticProgram:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        object.__setattr__(self, "g", g)
         object.__setattr__(self, "a", a)
+        if not np.all(np.isfinite(a)):
+            raise QPError("constraint matrix has non-finite entries")
+        if self.labels is not None and len(self.labels) != a.shape[0]:
+            raise QPError("labels must have one entry per constraint row")
+        self._set_vectors(self.g, self.lower, self.upper)
+
+    def _set_vectors(self, g, lower, upper) -> None:
+        """Store and check g and the bounds against the matrix."""
+        g = np.asarray(g, dtype=float)
+        lower = np.asarray(lower, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+        object.__setattr__(self, "g", g)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         if g.ndim != 1:
             raise QPError(f"g must be a vector, got shape {g.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise QPError("g has non-finite entries")
-        if a.shape[1] != g.size:
-            raise QPError(f"a has {a.shape[1]} columns for a {g.size}-dim w")
-        if lower.shape != (a.shape[0],) or upper.shape != (a.shape[0],):
+        if self.a.shape[1] != g.size:
+            raise QPError(f"a has {self.a.shape[1]} columns for a {g.size}-dim w")
+        if lower.shape != (self.a.shape[0],) or upper.shape != (self.a.shape[0],):
             raise QPError("bound vectors must have one entry per constraint row")
-        if not np.all(np.isfinite(a)):
-            raise QPError("constraint matrix has non-finite entries")
-        if np.any(lower > upper):
+        if (lower > upper).any():
             bad = int(np.argmax(lower > upper))
             raise QPError(f"row {bad}: lower bound {lower[bad]} exceeds upper {upper[bad]}")
-        if self.labels is not None and len(self.labels) != a.shape[0]:
-            raise QPError("labels must have one entry per constraint row")
+
+    def with_vectors(self, g, lower, upper) -> "QuadraticProgram":
+        """This problem's matrix and labels with a new g and new bounds.
+
+        The new vectors are checked as the constructor checks them; the
+        matrix is not checked again.  When the same bounds are finite, the
+        one-sided normals and their Gram matrix are shared with this
+        problem, so they are built once for every problem derived from it;
+        otherwise they are expanded afresh.
+        """
+        derived = object.__new__(QuadraticProgram)
+        object.__setattr__(derived, "a", self.a)
+        object.__setattr__(derived, "labels", self.labels)
+        derived._set_vectors(g, lower, upper)
+        normals = self._normals
+        if (np.isfinite(derived._sides) == normals.finite).all():
+            # cached_property reads the instance dict first.
+            derived.__dict__["_normals"] = normals
+        return derived
 
     @property
     def n_var(self) -> int:
         return self.g.size
+
+    @cached_property
+    def _sides(self) -> np.ndarray:
+        """Bounds interleaved per row: [lower_0, upper_0, lower_1, upper_1, ...]."""
+        sides = np.empty(2 * self.a.shape[0])
+        sides[0::2] = self.lower
+        sides[1::2] = self.upper
+        return sides
+
+    @cached_property
+    def _normals(self) -> "_Normals":
+        """The one-sided normals; they depend on a and on which bounds are finite."""
+        finite = np.isfinite(self._sides)
+        keep = np.flatnonzero(finite)
+        row, upper = keep >> 1, keep & 1
+        flip = upper.astype(bool)
+        c = self.a[row]
+        c[flip] = -c[flip]
+        c.flags.writeable = False
+        gram = c @ c.T
+        gram.flags.writeable = False
+        tags = [(r, _SIDES[s]) for r, s in zip(row.tolist(), upper.tolist())]
+        return _Normals(finite=finite, keep=keep, flip=flip, c=c, tags=tags, gram=gram)
 
     @cached_property
     def expanded(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
@@ -88,6 +143,23 @@ class QuadraticProgram:
 
     def objective(self, w: np.ndarray) -> float:
         return float(np.sum((np.asarray(w, dtype=float) + self.g) ** 2))
+
+
+@dataclass(frozen=True, eq=False)
+class _Normals:
+    """One-sided rows c_i @ w >= b_i without their offsets b_i.
+
+    ``finite`` marks the interleaved bound sides that give a row, ``keep``
+    lists them and ``flip`` marks the upper sides, whose normal is negated;
+    ``gram`` is c @ c.T, which the solver slices on every inner step.
+    """
+
+    finite: np.ndarray
+    keep: np.ndarray
+    flip: np.ndarray
+    c: np.ndarray
+    tags: list[tuple[int, str]]
+    gram: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,36 +199,33 @@ def _expand(problem: QuadraticProgram):
     Rows keep the original order, a row's lower side before its upper side;
     infinite bounds give no row.
     """
-    bounds = np.empty(2 * problem.a.shape[0])
-    bounds[0::2] = problem.lower
-    bounds[1::2] = problem.upper
-    keep = np.flatnonzero(np.isfinite(bounds))
-    row, upper = keep >> 1, keep & 1
-    flip = upper.astype(bool)
-    c = problem.a[row]
-    c[flip] = -c[flip]
-    b = bounds[keep]
-    b[flip] = -b[flip]
-    return c, b, [(r, _SIDES[s]) for r, s in zip(row.tolist(), upper.tolist())]
+    normals = problem._normals
+    b = problem._sides[normals.keep]
+    b[normals.flip] = -b[normals.flip]
+    return normals.c, b, normals.tags
 
 
-def _projection_step(c_active: list[np.ndarray], cp: np.ndarray):
-    """Dual direction r and null-space step z for candidate normal cp."""
-    if not c_active:
+def _projection_step(c_all: np.ndarray, gram: np.ndarray, active: list[int], p: int):
+    """Dual direction r and null-space step z for candidate row p.
+
+    ``gram`` is c_all @ c_all.T, so the active Gram system is a slice of it.
+    """
+    cp = c_all[p]
+    if not active:
         return np.empty(0), cp.copy()
-    n_mat = np.column_stack(c_active)
-    gram = n_mat.T @ n_mat
-    rhs = n_mat.T @ cp
+    gram_active = gram[np.ix_(active, active)]
+    rhs = gram[active, p]
     try:
-        r = np.linalg.solve(gram, rhs)
+        r = np.linalg.solve(gram_active, rhs)
     except np.linalg.LinAlgError:
-        r = np.linalg.lstsq(gram, rhs, rcond=None)[0]
-    return r, cp - n_mat @ r
+        r = np.linalg.lstsq(gram_active, rhs, rcond=None)[0]
+    return r, cp - c_all[active].T @ r
 
 
 def solve_qp(problem: QuadraticProgram, max_iter: int | None = None) -> QPSolution:
     """Solve the QP; status is "optimal", "infeasible" or "iteration_limit"."""
     c_all, b_all, tags = problem.expanded
+    gram = problem._normals.gram
     n_con = c_all.shape[0]
     if max_iter is None:
         max_iter = 50 * (n_con + problem.n_var) + 100
@@ -187,7 +256,7 @@ def solve_qp(problem: QuadraticProgram, max_iter: int | None = None) -> QPSoluti
             if iterations > max_iter:
                 status = "iteration_limit"
                 break
-            r, z = _projection_step([c_all[i] for i in active], cp)
+            r, z = _projection_step(c_all, gram, active, p)
             zz = float(z @ z)
             s_p = float(cp @ w - b_all[p])
             t_primal = np.inf if zz < _ZERO_DIR else -s_p / zz
@@ -230,7 +299,9 @@ def check_kkt(
 
     Multipliers are recovered by non-negative least squares on the gradients
     of near-active rows (slack <= active_tol), so the check shares no state
-    with the solver's own active-set bookkeeping.
+    with the solver's own active-set bookkeeping.  Stationarity is measured
+    from the returned multipliers, so an NNLS stopped at its iteration cap
+    can only overstate the residual.
     """
     w = np.asarray(w, dtype=float)
     grad = 2.0 * (w + problem.g)
@@ -243,17 +314,90 @@ def check_kkt(
             complementarity=0.0,
         )
     slack = c_all @ w - b_all
-    primal = max(0.0, float(-np.min(slack)))
+    primal = max(0.0, -float(slack.min()))
     near = slack <= active_tol
-    if np.any(near):
-        mu, stationarity = nnls(c_all[near].T, grad)
-        complementarity = float(np.max(mu * np.abs(slack[near])))
+    if near.any():
+        gradients = c_all[near].T
+        mu = nnls(gradients, grad)
+        residual = gradients @ mu - grad
+        stationarity = math.sqrt(residual @ residual)
+        complementarity = float((mu * np.abs(slack[near])).max())
     else:
         stationarity = float(np.linalg.norm(grad))
         complementarity = 0.0
     return KKTReport(
-        stationarity=float(stationarity),
+        stationarity=stationarity,
         primal_feasibility=primal,
         dual_feasibility=0.0,
         complementarity=complementarity,
     )
+
+
+def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Non-negative least squares: x >= 0 minimizing ||a @ x - b||.
+
+    The active-set method of Lawson and Hanson (1974, Solving Least Squares
+    Problems, ch. 23), for the small dense systems of check_kkt.  It runs on
+    columns scaled to a largest entry of one, so that no column counts as
+    negligible for its scale alone; a column whose largest entry is zero or
+    subnormal keeps a zero multiplier.  A least-squares solution on
+    full-rank columns that is already non-negative and finite is the optimum
+    and is returned at once.  Otherwise at most ``_NNLS_PASSES * n`` columns
+    are freed, and a capped run returns its last feasible iterate.  A
+    multiplier beyond the float range is returned as zero.
+    """
+    m, n = a.shape
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    if rank == n and (x >= 0.0).all() and np.isfinite(x).all():
+        return x
+    x = np.zeros(n)
+    norms = np.max(np.abs(a), axis=0, initial=0.0)
+    cols = np.flatnonzero(norms >= np.finfo(float).tiny)
+    if cols.size == 0:
+        return x
+    a = a[:, cols] / norms[cols]
+    # Correlations with the residual below tol are rounding noise.
+    tol = 10.0 * np.finfo(float).eps * max(m, n) * max(1.0, float(np.linalg.norm(b)))
+    y = np.zeros(cols.size)
+    free = np.zeros(cols.size, dtype=bool)
+    # Columns that entered with a non-positive fit; barred until y moves.
+    barred = np.zeros(cols.size, dtype=bool)
+    dual = a.T @ b
+    for _ in range(_NNLS_PASSES * n):
+        candidates = np.where(free | barred, -np.inf, dual)
+        j = int(np.argmax(candidates))
+        if candidates[j] <= tol:
+            break
+        free[j] = True
+        s = _free_fit(a, b, free)
+        if s[j] <= 0.0:
+            # Rounding let in a column that the fit does not use: try the
+            # next-best one instead of stepping nowhere.
+            free[j] = False
+            barred[j] = True
+            continue
+        # A fit with a non-positive entry moves towards it and pins one more
+        # column to zero, so this loop ends within n passes.
+        while (blocked := np.flatnonzero(free & (s <= 0.0))).size:
+            gap = y[blocked] - s[blocked]
+            ratio = np.divide(y[blocked], gap, out=np.zeros_like(gap), where=gap > 0.0)
+            y += np.min(ratio) * (s - y)
+            y[blocked[np.argmin(ratio)]] = 0.0
+            free &= y > 0.0
+            y[~free] = 0.0
+            s = _free_fit(a, b, free)
+        y = s
+        barred[:] = False
+        dual = a.T @ (b - a @ y)
+    with np.errstate(over="ignore"):
+        x[cols] = y / norms[cols]
+    x[np.isinf(x)] = 0.0
+    return x
+
+
+def _free_fit(a: np.ndarray, b: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients on the free columns of a, zero elsewhere."""
+    s = np.zeros(a.shape[1])
+    if free.any():
+        s[free] = np.linalg.lstsq(a[:, free], b, rcond=None)[0]
+    return s

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,11 +66,26 @@ def _as_mapping(doc: dict, key: str) -> dict:
 
 
 def _number(block: dict, key: str, default, kind: type, where: str):
-    """block[key] (or default) converted by ``kind``; a ScenarioError if it cannot be."""
-    raw = block.get(key, default)
+    """block[key] (or default) converted by ``kind``; see _convert."""
+    return _convert(block.get(key, default), kind, key, where)
+
+
+def _convert(raw, kind: type, key: str, where: str):
+    """``raw`` converted by ``kind``; a ScenarioError naming ``key`` if it cannot be.
+
+    Booleans are not numbers, an integer key takes no fractional value and
+    no key takes NaN or infinity (which JSON parsing lets through): ``true``,
+    ``2.5`` and ``NaN`` are rejected rather than read as 1, 2 and NaN.
+    """
     try:
-        return kind(raw)
-    except (TypeError, ValueError):
+        if isinstance(raw, bool):
+            raise TypeError(raw)
+        value = kind(raw)
+        fractional = kind is int and isinstance(raw, float) and value != raw
+        if fractional or not math.isfinite(value):
+            raise ValueError(raw)
+        return value
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioError(
             f"{where}: '{key}' must be {'an integer' if kind is int else 'a number'}, got {raw!r}"
         ) from None
@@ -212,10 +228,12 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     histogram_bins = _number(mc_block, "histogram_bins", 40, int, "mc block")
     if mc_trials < 1 or histogram_bins < 1:
         raise ScenarioError("mc n_trials and histogram_bins must be positive")
-    try:
-        iterations = tuple(int(k) for k in mc_block.get("histogram_iterations", ()))
-    except (TypeError, ValueError):
-        raise ScenarioError("mc block: 'histogram_iterations' must be a list of integers") from None
+    raw_iterations = mc_block.get("histogram_iterations", ())
+    if not isinstance(raw_iterations, (list, tuple)):
+        raise ScenarioError("mc block: 'histogram_iterations' must be a list of integers")
+    iterations = tuple(
+        _convert(k, int, "histogram_iterations", "mc block") for k in raw_iterations
+    )
     if any(k < 0 for k in iterations):
         raise ScenarioError("histogram_iterations must be non-negative")
 

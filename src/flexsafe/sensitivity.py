@@ -189,7 +189,7 @@ def finite_difference_oracle(
     if np.any(u0 - step < lower) or np.any(u0 + step > upper):
         raise ValueError("finite-difference stencil crosses a control bound; move u0 inward")
 
-    state = solve_power_flow(apply_control(grid, u0), tol=1e-12, max_iter=60)
+    state = solve_power_flow(grid, tol=1e-12, max_iter=60, control=u0)
     if not state.converged:
         raise PowerFlowError("power flow did not converge at the expansion point")
     columns = []

@@ -206,7 +206,11 @@ def coverage_metric(
 
     Endpoints are taken at min(k, last recorded step) and ordered by the
     angle of each trajectory's final target, so the spanned polygon grows
-    outward as the runs progress.  Degenerate endpoint sets span zero area.
+    outward as the runs progress.  Runs with equally angled targets (every
+    mc trial shares its targets) are ordered by their endpoint's angle about
+    the endpoints' centroid, then by its coordinates, so the result does not
+    depend on the order of the runs.  Degenerate endpoint sets span
+    zero area.
     """
     trajs = _as_trajectories(tset)
     if len(trajs) < 3:
@@ -221,8 +225,12 @@ def coverage_metric(
         endpoints.append(pts[idx])
         target = traj.segments[-1].setpoint
         order_angles.append(math.atan2(target.q_set, target.p_set))
-    order = np.argsort(order_angles, kind="stable")
-    spanned = polygon_area(np.array(endpoints)[order])
+    endpoints = np.array(endpoints)
+    # fsum is exactly rounded, so the centroid does not depend on run order.
+    centroid = [math.fsum(col) / len(trajs) for col in endpoints.T]
+    dp, dq = endpoints[:, 0] - centroid[0], endpoints[:, 1] - centroid[1]
+    order = np.lexsort((endpoints[:, 1], endpoints[:, 0], np.arctan2(dq, dp), order_angles))
+    spanned = polygon_area(endpoints[order])
     total = polygon.area
     if total <= 0.0:
         return 0.0

@@ -1,10 +1,15 @@
 """End-to-end CLI runs on small scenarios: artifacts, exit codes, determinism."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flexsafe
 from flexsafe.cli import main
 
 from conftest import grid_path
@@ -41,10 +46,42 @@ NOISE = {
 }
 
 
+def test_cli_import_loads_no_scipy():
+    """The command line needs only numpy and jsonschema at run time."""
+    src = str(Path(flexsafe.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = (
+        "import sys, flexsafe.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert main(["frobnicate", "x.json"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["for", "--help"], ["mc", "-h"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert "usage: flexsafe" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["for", "run"])
+def test_jobs_only_on_mc(workdir, capsys, command):
+    path = write_scenario(workdir, base_doc())
+    assert main([command, str(path), "--jobs", "2"]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not (workdir / "scenario_out").exists()
 
 
 def test_missing_scenario_exits_1(tmp_path, capsys):
@@ -161,11 +198,17 @@ def test_mc_requires_explicit_schedule(workdir, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("n_trials", [None, "abc"])
+@pytest.mark.parametrize("n_trials", [None, "abc", 2.5, True])
 def test_bad_trial_count_exits_1(workdir, capsys, n_trials):
     path = write_scenario(workdir, base_doc(noise=NOISE, mc={"n_trials": n_trials}))
     assert main(["mc", str(path)]) == 1
     assert "n_trials" in capsys.readouterr().err
+
+
+def test_boolean_iteration_cap_exits_1(workdir, capsys):
+    path = write_scenario(workdir, base_doc(controller={"alpha": 0.1, "max_iterations": True}))
+    assert main(["run", str(path)]) == 1
+    assert "'max_iterations' must be an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", [["--jobs", "0"], ["--seed", "-1"], ["--jobs", "two"]])

@@ -14,9 +14,11 @@ from flexsafe.ofo_controller import (
     grad_cost,
     ofo_step,
     run_schedule,
+    step_qp_template,
 )
 from flexsafe.grid_model import apply_control
 from flexsafe.power_flow import measure, solve_power_flow
+from flexsafe.qp_solver import solve_qp
 from flexsafe.sensitivity import compute_sensitivity
 
 
@@ -62,6 +64,27 @@ def test_step_qp_encodes_scaled_limits(ring4, ring4_map, config):
     # in the ||w+g||^2 parameterization, i.e. g = M^T grad_phi.
     assert problem.g.shape == (n_ctrl2,)
     assert np.all(np.isfinite(problem.g))
+
+
+def test_step_qp_from_template_matches_fresh_build(ring4, ring4_map, config):
+    """A step QP derived from the run's template equals one built on its own."""
+    template = step_qp_template(ring4, ring4_map, config.alpha)
+    rng = np.random.default_rng(4)
+    lower_u, upper_u = ring4.control_bounds()
+    for _ in range(5):
+        u = rng.uniform(lower_u, upper_u)
+        y = measure(solve_power_flow(ring4, control=u))
+        grad = grad_cost(y, SetPoint(rng.normal(), rng.normal()))
+        fresh = build_step_qp(u, y, ring4_map, ring4, config, grad)
+        derived = build_step_qp(u, y, ring4_map, ring4, config, grad, template)
+        assert derived.a is template.a and derived.labels is template.labels
+        assert derived.labels == fresh.labels
+        for name in ("g", "a", "lower", "upper"):
+            assert np.array_equal(getattr(derived, name), getattr(fresh, name)), name
+        assert derived._normals is template._normals  # rows expanded once per run
+        one, other = solve_qp(fresh), solve_qp(derived)
+        assert np.array_equal(one.w, other.w)
+        assert one.active_set == other.active_set
 
 
 def test_single_step_descends_cost(ring4, ring4_map, config):

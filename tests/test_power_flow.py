@@ -156,6 +156,31 @@ def test_warm_start_matches_flat_start(name):
         assert abs(warm.q_pcc - flat.q_pcc) <= 1e-8
 
 
+@pytest.mark.parametrize("name", ALL_GRIDS)
+def test_control_vector_solve_matches_applied_grid(name):
+    """Solving from the control vector is solving the grid apply_control derives."""
+    grid = load_grid(grid_path(name))
+    lower, upper = grid.control_bounds()
+    rng = np.random.default_rng(17)
+    # Controls inside the box and past it: both routes clip to the box.
+    for scale in (1.0, 1.5):
+        for _ in range(5):
+            u = rng.uniform(lower, upper) * scale
+            applied = solve_power_flow(apply_control(grid, u))
+            direct = solve_power_flow(grid, control=u)
+            assert direct.converged == applied.converged
+            assert direct.iterations == applied.iterations
+            for field in ("v", "theta", "s_flows"):
+                assert np.max(np.abs(getattr(direct, field) - getattr(applied, field))) <= 1e-12
+            assert abs(direct.p_pcc - applied.p_pcc) <= 1e-12
+            assert abs(direct.q_pcc - applied.q_pcc) <= 1e-12
+
+
+def test_control_vector_length_checked(ring4):
+    with pytest.raises(ValueError, match="control vector has length 3"):
+        solve_power_flow(ring4, control=np.zeros(3))
+
+
 def test_limit_violation_sign(ring4, ring4_tightv):
     state = solve_power_flow(ring4)
     assert limit_violation(ring4, state) <= 0.0

@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from flexsafe import qp_solver
 from flexsafe.qp_solver import (
     KKTReport,
     QPError,
     QuadraticProgram,
     _expand,
     check_kkt,
+    nnls,
     solve_qp,
 )
 
@@ -247,3 +253,191 @@ def test_iteration_cap_reported():
     assert sol.status in ("optimal", "iteration_limit")
     if sol.status == "iteration_limit":
         assert not np.isfinite(sol.kkt_residual)
+
+
+# Zero or a magnitude in [1e-3, 10]: the instances stay far from singular.
+# Near cond(a) ~ 1 / eps the optimal multipliers are huge and both solvers'
+# residuals carry rounding errors well above the 1e-10 compared here; the
+# nearly singular instances are compared up to that rounding further down.
+MAGNITUDE = st.floats(1e-3, 10.0)
+ENTRY = st.one_of(st.just(0.0), MAGNITUDE, MAGNITUDE.map(lambda v: -v))
+
+
+def _rounding(a, *xs):
+    """Residual error a backward-stable solver may make at multipliers xs."""
+    scale = max(float(np.linalg.norm(x)) for x in xs)
+    return 1e-10 + 10.0 * np.finfo(float).eps * max(a.shape) * np.linalg.norm(a) * scale
+
+
+def _no_worse_than_scipy(a, b, x):
+    ref, _ = scipy.optimize.nnls(a, b)
+    assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
+    residual, ref_residual = np.linalg.norm(a @ x - b), np.linalg.norm(a @ ref - b)
+    assert residual <= ref_residual + _rounding(a, x, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+    kind=st.sampled_from(["random", "rank_deficient", "overdetermined"]),
+)
+def test_nnls_matches_scipy(data, shape, kind):
+    """Same optimal residual as scipy's Lawson-Hanson on assorted instances."""
+    m, n = shape
+    if kind == "overdetermined":
+        m = n + m
+    a = data.draw(arrays(np.float64, (m, n), elements=ENTRY))
+    if kind == "rank_deficient":
+        # Repeat, negate and scale columns: rank below the column count.
+        picks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+        scales = data.draw(st.lists(ENTRY, min_size=len(picks), max_size=len(picks)))
+        a = np.hstack([a, a[:, picks] * np.array(scales)])
+    b = data.draw(arrays(np.float64, (m,), elements=ENTRY))
+    try:
+        ref, ref_norm = scipy.optimize.nnls(a, b)
+    except RuntimeError:  # the reference hit its own iteration cap
+        assume(False)
+    x = nnls(a, b)
+    assert x.shape == (a.shape[1],) and np.all(x >= 0.0)
+    assert abs(np.linalg.norm(a @ x - b) - ref_norm) <= 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(2, 7),
+    k=st.integers(1, 5),
+    exponent=st.floats(-16.0, -6.0),
+)
+def test_nnls_nearly_dependent_columns(data, m, k, exponent):
+    """One column off the span of the others by 1e-16 to 1e-6: optimal to working precision.
+
+    Such instances have optimal multipliers up to 1e16 or residuals that
+    differ from scipy's only in the last bits of ||a x - b||^2, so they are
+    judged by the NNLS optimality conditions instead of by scipy's residual.
+    """
+    base = data.draw(arrays(np.float64, (m, k), elements=ENTRY))
+    weights = data.draw(arrays(np.float64, (k,), elements=ENTRY))
+    nudge = data.draw(arrays(np.float64, (m,), elements=ENTRY))
+    at = data.draw(st.integers(0, k))
+    a = np.insert(base, at, base @ weights + 10.0**exponent * nudge, axis=1)
+    b = data.draw(arrays(np.float64, (m,), elements=ENTRY))
+    x = nnls(a, b)
+    assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
+    grad = a.T @ (a @ x - b)
+    scale = np.linalg.norm(a) * (np.linalg.norm(a) * np.linalg.norm(x) + max(1.0, np.linalg.norm(b)))
+    tol = 10.0 * np.finfo(float).eps * max(a.shape) * scale
+    assert np.all(grad >= -tol)  # no column could lower the residual
+    assert np.all(np.abs(grad[x > 0.0]) <= tol)  # stationary on the columns in use
+
+
+def test_nnls_ill_conditioned_and_tiny_columns():
+    # Nearly opposite columns: the exact optimum has multipliers near 1e10.
+    a = np.array([[2.0, -1.0], [1e-10, 0.0]])
+    for b in ([0.0, 1.0], [-1.82611582, 8.31667801]):
+        _no_worse_than_scipy(a, np.array(b), nnls(a, np.array(b)))
+    # A column whose largest entry is zero or subnormal keeps a zero
+    # multiplier; scipy returns inf for the subnormal one.
+    a = np.array([[1.0, 5e-324, 0.0], [0.0, 1e-320, 0.0]])
+    assert np.array_equal(nnls(a, np.array([1.0, 1.0])), [1.0, 0.0, 0.0])
+    # A multiplier beyond the float range comes back as zero.
+    assert np.array_equal(nnls(np.array([[2.3e-308]]), np.array([10.0])), [0.0])
+
+
+def test_nnls_passes_over_a_column_the_fit_does_not_use(monkeypatch):
+    """A column let in by a rounding-level dual whose fit is not positive is
+    barred until the iterate moves, instead of re-entering until the cap."""
+    # The third column lies in the span of the first two up to a singular
+    # value 1e-16 times the largest.
+    a = np.array(
+        [
+            [0.30792298340887136, 1.7138495150993727, -1.9713257745475357],
+            [1.5015702878997428, 1.182961147915247, -1.3886518196957267],
+            [0.9273947502432107, -0.13355665480969844, 0.13297661532245658],
+        ]
+    )
+    b = np.array([0.9335077886479612, -1.289569749811818, -0.3366805477609017])
+    fits = []
+    free_fit = qp_solver._free_fit
+    monkeypatch.setattr(
+        qp_solver, "_free_fit", lambda a, b, free: fits.append(free.copy()) or free_fit(a, b, free)
+    )
+    x = nnls(a, b)
+    assert len(fits) <= a.shape[1]  # one fit per entering column
+    _no_worse_than_scipy(a, b, x)
+
+
+def test_nnls_fast_path_and_cap(monkeypatch):
+    a = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+    inside = a @ np.array([0.5, 0.25])
+    assert np.allclose(nnls(a, inside), [0.5, 0.25], atol=1e-14)
+    # The unconstrained fit is (-1, 1): NNLS drops the first column.
+    b = a @ np.array([-1.0, 1.0])
+    x = nnls(a, b)
+    assert x[0] == 0.0 and x[1] > 0.0
+    monkeypatch.setattr(qp_solver, "_NNLS_PASSES", 0)
+    assert np.array_equal(nnls(a, b), np.zeros(2))
+
+
+def test_kkt_stationarity_comes_from_returned_multipliers(monkeypatch):
+    """A stopped NNLS can only overstate the residual, never hide one."""
+    problem = box([3.0, 0.0], [-1.0, -1.0], [1.0, 1.0])  # w = (-1, 0), row 0 binds
+    w = np.array([-1.0, 0.0])
+    assert check_kkt(problem, w).residual < 1e-12
+    monkeypatch.setattr(qp_solver, "nnls", lambda a, b: np.zeros(a.shape[1]))
+    stopped = check_kkt(problem, w)
+    assert stopped.stationarity == pytest.approx(np.linalg.norm(2.0 * (w + problem.g)))
+
+
+def _bounds(data, m):
+    """Bounds with lower <= upper, each side infinite where a drawn mask says so."""
+    lower = data.draw(arrays(np.float64, (m,), elements=ENTRY))
+    upper = lower + data.draw(arrays(np.float64, (m,), elements=st.floats(0.0, 5.0)))
+    lower[data.draw(arrays(np.bool_, (m,)))] = -np.inf
+    upper[data.draw(arrays(np.bool_, (m,)))] = np.inf
+    return lower, upper
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 4),
+    m=st.integers(0, 7),
+    same_pattern=st.booleans(),
+)
+def test_with_vectors_matches_fresh_problem(data, n, m, same_pattern):
+    """A derived problem expands and solves exactly as one built from scratch."""
+    a = data.draw(arrays(np.float64, (m, n), elements=ENTRY))
+    template_lower, template_upper = _bounds(data, m)
+    template = QuadraticProgram(g=np.zeros(n), a=a, lower=template_lower, upper=template_upper)
+    g = data.draw(arrays(np.float64, (n,), elements=ENTRY))
+    if same_pattern:
+        shift = data.draw(arrays(np.float64, (m,), elements=ENTRY))
+        lower, upper = template_lower + shift, template_upper + shift
+    else:
+        lower, upper = _bounds(data, m)
+    derived = template.with_vectors(g, lower, upper)
+    fresh = QuadraticProgram(g=g, a=a, lower=lower, upper=upper)
+    shares = np.array_equal(np.isinf(lower), np.isinf(template_lower)) and np.array_equal(
+        np.isinf(upper), np.isinf(template_upper)
+    )
+    assert (derived._normals is template._normals) == shares
+    (c, b, tags), (c_ref, b_ref, tags_ref) = derived.expanded, fresh.expanded
+    assert np.array_equal(c, c_ref) and np.array_equal(b, b_ref) and tags == tags_ref
+    sol, ref = solve_qp(derived), solve_qp(fresh)
+    assert sol.status == ref.status
+    assert np.array_equal(sol.w, ref.w)
+    assert sol.active_set == ref.active_set
+
+
+def test_with_vectors_checks_the_new_vectors():
+    template = box([0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
+    with pytest.raises(QPError, match="non-finite"):
+        template.with_vectors(np.array([np.nan, 0.0]), template.lower, template.upper)
+    with pytest.raises(QPError, match="one entry per constraint row"):
+        template.with_vectors(np.zeros(2), np.zeros(3), np.ones(2))
+    with pytest.raises(QPError, match="columns"):
+        template.with_vectors(np.zeros(3), template.lower, template.upper)
+    with pytest.raises(QPError, match="exceeds upper"):
+        template.with_vectors(np.zeros(2), np.ones(2), np.zeros(2))

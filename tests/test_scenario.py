@@ -108,6 +108,23 @@ def test_grid_path_relative_to_scenario(scenario_dir):
         (lambda d: d.update(mc={"n_trials": 0}), "positive"),
         (lambda d: d.update(mc={"n_trials": None}), "'n_trials' must be an integer"),
         (lambda d: d.update(mc={"n_trials": "abc"}), "'n_trials' must be an integer"),
+        (lambda d: d.update(mc={"n_trials": 2.5}), "'n_trials' must be an integer, got 2.5"),
+        (
+            lambda d: d.update(controller={"alpha": 0.1, "max_iterations": True}),
+            "'max_iterations' must be an integer, got True",
+        ),
+        (lambda d: d.update(controller={"alpha": True}), "'alpha' must be a number"),
+        (lambda d: d.update(controller={"alpha": float("nan")}), "'alpha' must be a number"),
+        (lambda d: d.update({"for": {"stall_tol": float("inf")}}), "'stall_tol' must be a number"),
+        (lambda d: d.update({"for": {"patience": 1e400}}), "'patience' must be an integer"),
+        (
+            lambda d: d.update(mc={"histogram_iterations": [1, 2.5]}),
+            "'histogram_iterations' must be an integer, got 2.5",
+        ),
+        (
+            lambda d: d.update(mc={"histogram_iterations": "12"}),
+            "'histogram_iterations' must be a list of integers",
+        ),
         (lambda d: d.update(noise={"seed": -1}), "'seed' must be non-negative"),
         (lambda d: d.update(mc={"walks": 1}), "unknown mc keys"),
     ],
@@ -119,6 +136,13 @@ def test_malformed_scenarios_rejected(scenario_dir, mutate, fragment):
     with pytest.raises(ScenarioError) as err:
         load_scenario(path)
     assert fragment in str(err.value)
+
+
+def test_integral_floats_read_as_integers(scenario_dir):
+    doc = {**MINIMAL, "mc": {"n_trials": 3.0, "histogram_iterations": [2.0]}}
+    sc = load_scenario(write_scenario(scenario_dir, doc))
+    assert sc.mc_trials == 3 and type(sc.mc_trials) is int
+    assert sc.histogram_iterations == (2,)
 
 
 def test_missing_and_invalid_files(tmp_path):

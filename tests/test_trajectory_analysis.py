@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexsafe.for_region import FORPolygon
 from flexsafe.trajectory_analysis import (
@@ -156,6 +158,36 @@ def test_coverage_truncates_at_step_k(diamond):
     assert coverage_metric(tset, diamond, k=1) == pytest.approx(full)
     # k beyond the last step clamps to the final point.
     assert coverage_metric(tset, diamond, k=99) == pytest.approx(full)
+
+
+COORD = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.tuples(COORD, COORD),
+            st.sampled_from([(0.5, 0.5), (1.0, 1.0), (-0.3, 0.2), (0.0, -0.7)]),
+        ),
+        min_size=3,
+        max_size=12,
+    ),
+    data=st.data(),
+)
+def test_coverage_does_not_depend_on_run_order(diamond, runs, data):
+    """Runs sharing a target angle, as every mc trial does, in any order."""
+    trajs = [make_trajectory([(0.0, 0.0), end], target=target) for end, target in runs]
+    shuffled = data.draw(st.permutations(trajs))
+    assert coverage_metric(shuffled, diamond) == coverage_metric(trajs, diamond)
+
+
+def test_coverage_of_shared_target_is_the_star_polygon(diamond):
+    """Endpoints around one target span their star polygon, not a crossed loop."""
+    corners = [(0.5, 0.0), (0.0, 0.5), (-0.5, 0.0), (0.0, -0.5)]
+    crossed = [corners[i] for i in (0, 2, 1, 3)]
+    trajs = [make_trajectory([(0.0, 0.0), c], target=(0.3, 0.3)) for c in crossed]
+    assert coverage_metric(trajs, diamond) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_coverage_needs_three_trajectories(diamond):
