@@ -50,17 +50,14 @@ from flexsafe.ofo_controller import (
     closed_loop_step,
     export_trajectory_csv,
     grad_cost,
-    ofo_step,
     run_schedule,
     step_qp_template,
 )
 from flexsafe.for_region import (
-    DirectionSigns,
     FORError,
     FORPolygon,
     FORSample,
     SweepConfig,
-    contains,
     contains_many,
     export_for_csv,
     polygon_area,
@@ -79,7 +76,6 @@ from flexsafe.trajectory_analysis import (
     classify,
     coverage_metric,
     export_verdict_json,
-    project_trajectory,
     robustness_verdict,
     wilson_interval,
 )

@@ -28,26 +28,12 @@ from flexsafe.power_flow import (
     limit_violation,
     solve_power_flow,
 )
-from flexsafe.ofo_controller import ControllerConfig, closed_loop_step, step_qp_template
+from flexsafe.ofo_controller import closed_loop_step, step_qp_template
 from flexsafe.sensitivity import SensitivityMap, compute_sensitivity
 
 
 class FORError(Exception):
     """Region sweep could not produce a usable polygon."""
-
-
-@dataclass(frozen=True)
-class DirectionSigns:
-    """Import/export quadrant of a sweep direction: sign of (cos, sin)."""
-
-    p: int
-    q: int
-
-    @classmethod
-    def from_angle(cls, theta: float, eps: float = 1e-12) -> "DirectionSigns":
-        c, s = math.cos(theta), math.sin(theta)
-        return cls(p=0 if abs(c) <= eps else (1 if c > 0 else -1),
-                   q=0 if abs(s) <= eps else (1 if s > 0 else -1))
 
 
 @dataclass(frozen=True)
@@ -85,7 +71,6 @@ class FORPolygon:
     angles: np.ndarray
     binding: tuple[tuple[str, ...], ...] = ()
     controls: tuple[np.ndarray, ...] = ()
-    signs: tuple[DirectionSigns, ...] = ()
     failures: tuple[tuple[float, str], ...] = ()
 
     def __post_init__(self):
@@ -101,7 +86,7 @@ class FORPolygon:
             raise FORError("polygon data must be finite")
         if np.any(np.diff(angles) <= 0):
             raise FORError("vertices must be ordered by strictly increasing angle")
-        for name in ("binding", "controls", "signs"):
+        for name in ("binding", "controls"):
             val = getattr(self, name)
             if val and len(val) != verts.shape[0]:
                 raise FORError(f"{name} must align with vertices when provided")
@@ -113,9 +98,6 @@ class FORPolygon:
     @property
     def area(self) -> float:
         return polygon_area(self.vertices)
-
-    def contains(self, point, tol: float = 0.0) -> bool:
-        return bool(contains_many(self, np.asarray(point, dtype=float), tol)[0])
 
 
 def polygon_area(vertices: np.ndarray) -> float:
@@ -155,10 +137,6 @@ def contains_many(polygon: FORPolygon, points: np.ndarray, tol: float = 0.0) -> 
 
     finite = np.all(np.isfinite(pts), axis=1)
     return (inside | near) & finite
-
-
-def contains(polygon: FORPolygon, point, tol: float = 0.0) -> bool:
-    return polygon.contains(point, tol)
 
 
 def _binding_labels(
@@ -209,7 +187,6 @@ def _push_direction(
     k = 0
     for kappa, mu in config.stages:
         alpha = config.gain_scale / (mu * sigma_n2 + kappa * sigma_c2)
-        cfg = ControllerConfig(alpha=alpha, max_iterations=1)
         template = step_qp_template(grid, smap, alpha)
 
         def gradient(y: MeasurementVector, kappa=kappa, mu=mu) -> np.ndarray:
@@ -222,7 +199,7 @@ def _push_direction(
         stall = 0
         for _ in range(config.stage_iterations):
             step, state = closed_loop_step(
-                grid, u, smap, cfg, gradient, k=k, initial=state, template=template
+                grid, u, smap, alpha, gradient, template, k=k, initial=state
             )
             k += 1
             if step.qp_status != "optimal":
@@ -256,7 +233,6 @@ def sweep_for(
     angles: list[float] = []
     binding: list[tuple[str, ...]] = []
     controls: list[np.ndarray] = []
-    signs: list[DirectionSigns] = []
     failures: list[tuple[float, str]] = []
 
     for i in range(config.n_angles):
@@ -270,7 +246,6 @@ def sweep_for(
         angles.append(theta)
         binding.append(_binding_labels(grid, u, state))
         controls.append(u)
-        signs.append(DirectionSigns.from_angle(theta))
 
     if len(vertices) < 3:
         raise FORError(
@@ -282,7 +257,6 @@ def sweep_for(
         angles=np.array(angles),
         binding=tuple(binding),
         controls=tuple(controls),
-        signs=tuple(signs),
         failures=tuple(failures),
     )
 
@@ -292,7 +266,6 @@ class FORSample:
     """Exactly simulated feasible operating points (the oracle route)."""
 
     points: np.ndarray
-    controls: np.ndarray
     n_requested: int
     n_infeasible: int
     n_diverged: int
@@ -302,23 +275,18 @@ class FORSample:
         return self.points.shape[0]
 
 
-def sample_oracle_for(
-    grid: GridModel,
-    n_samples: int,
-    seed,
-    feas_tol: float = 1e-9,
-) -> FORSample:
+def sample_oracle_for(grid: GridModel, n_samples: int, seed) -> FORSample:
     """Draw controls uniformly in the box, keep the ones the true limits admit.
 
     No linearization is involved: every candidate is a full power-flow
-    solve, and feasibility is judged by the exact limit check.
+    solve, and feasibility is judged by the exact limit check (a violation
+    of at most 1e-9).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(seed)
     lower, upper = grid.control_bounds()
     points: list[tuple[float, float]] = []
-    kept: list[np.ndarray] = []
     n_infeasible = 0
     n_diverged = 0
     for _ in range(n_samples):
@@ -331,14 +299,12 @@ def sample_oracle_for(
         if not state.converged:
             n_diverged += 1
             continue
-        if limit_violation(grid, state) > feas_tol:
+        if limit_violation(grid, state) > 1e-9:
             n_infeasible += 1
             continue
         points.append((state.p_pcc, state.q_pcc))
-        kept.append(u)
     return FORSample(
         points=np.array(points).reshape(-1, 2),
-        controls=np.array(kept).reshape(-1, 2 * grid.n_ctrl),
         n_requested=n_samples,
         n_infeasible=n_infeasible,
         n_diverged=n_diverged,
@@ -402,5 +368,4 @@ def read_for_csv(path: str | Path) -> FORPolygon:
         vertices=np.array(vertices).reshape(-1, 2),
         angles=np.array(angles),
         binding=tuple(binding),
-        signs=tuple(DirectionSigns.from_angle(t) for t in angles),
     )

@@ -2,9 +2,9 @@
 
 Grid files carry physical units (MW / MVAr / kV); everything in memory is
 per-unit on ``s_base``.  The model is immutable after load -- controller
-updates go through :func:`apply_control`, which returns a new value, or
-reach the power flow as a control vector (``bus_injections(control)``), so a
-single model can be shared freely across concurrent trials.
+updates reach the power flow as a control vector (``bus_injections(control)``)
+and :func:`apply_control` returns a new value, so a single model can be
+shared freely across concurrent trials.
 
 The static network (index maps, limit vectors, branch admittances, Ybus)
 is computed once per loaded grid.  Grids derived by :func:`derive_injections`

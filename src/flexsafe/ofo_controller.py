@@ -30,7 +30,6 @@ from flexsafe.power_flow import (
     PowerFlowError,
     SystemState,
     measure,
-    measurement_labels,
     solve_power_flow,
 )
 from flexsafe.qp_solver import QuadraticProgram, solve_qp
@@ -86,7 +85,6 @@ class OFOStep:
 
     k: int
     y: MeasurementVector
-    grad_phi: np.ndarray
     w: np.ndarray
     u: np.ndarray
     u_next: np.ndarray
@@ -102,10 +100,6 @@ class SegmentRecord:
     start: int
     stop: int
     converged: bool
-
-    @property
-    def iterations(self) -> int:
-        return self.stop - self.start
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,10 +147,10 @@ def step_qp_template(grid: GridModel, smap, alpha: float) -> QuadraticProgram:
     """The part of every step QP that stays fixed for a run.
 
     Rows, in order: control box, voltage band, flow limits, all on the
-    step alpha w: the matrix [alpha I; alpha M_v; alpha M_s] and its row
-    labels.  The bounds are the limits themselves (the offsets at u = 0,
-    y = 0), so the template has the steps' finite bounds and its one-sided
-    normals and their Gram matrix serve every step (see build_step_qp).
+    step alpha w: the matrix [alpha I; alpha M_v; alpha M_s].  The bounds
+    are the limits themselves (the offsets at u = 0, y = 0), so the
+    template has the steps' finite bounds and its one-sided normals and
+    their Gram matrix serve every step (see build_step_qp).
     """
     m_mat = smap.matrix
     n, m = grid.n_bus, grid.n_branch
@@ -173,7 +167,6 @@ def step_qp_template(grid: GridModel, smap, alpha: float) -> QuadraticProgram:
         a=a,
         lower=np.concatenate([lower_u, grid.v_min, np.zeros(m)]),
         upper=np.concatenate([upper_u, grid.v_max, grid.s_max]),
-        labels=(*control_labels(grid), *measurement_labels(grid)[: n + m]),
     )
 
 
@@ -182,21 +175,17 @@ def build_step_qp(
     y: MeasurementVector,
     smap,
     grid: GridModel,
-    config: ControllerConfig,
     grad_phi: np.ndarray,
-    template: QuadraticProgram | None = None,
+    template: QuadraticProgram,
 ) -> QuadraticProgram:
     """Assemble the per-step direction QP at measurement y and control u.
 
     Rows, in order: control box (exact, on the true u), voltage band and
     flow limits (linearized around the measurement).  All rows are written
-    on the post-step point u + alpha w.  ``template`` is
-    step_qp_template(grid, smap, config.alpha), built here when not given;
-    a loop passes one template to all its steps, which then only supply
-    their gradient and offsets.
+    on the post-step point u + alpha w.  ``template`` is the loop's
+    step_qp_template(grid, smap, alpha); each step supplies only its
+    gradient and offsets.
     """
-    if template is None:
-        template = step_qp_template(grid, smap, config.alpha)
     lower_u, upper_u = grid.control_bounds()
     lower = np.concatenate([lower_u - u, grid.v_min - y.v, -y.s])
     upper = np.concatenate([upper_u - u, grid.v_max - y.v, grid.s_max - y.s])
@@ -207,12 +196,12 @@ def closed_loop_step(
     grid: GridModel,
     u: np.ndarray,
     smap,
-    config: ControllerConfig,
+    alpha: float,
     gradient: Callable[[MeasurementVector], np.ndarray],
+    template: QuadraticProgram,
     k: int = 0,
     noise: NoiseModel | None = None,
     initial: SystemState | None = None,
-    template: QuadraticProgram | None = None,
 ) -> tuple[OFOStep, SystemState]:
     """Run one closed-loop iteration against the true plant.
 
@@ -221,7 +210,7 @@ def closed_loop_step(
     ``initial`` (the previous step's true state); measure it; solve the step
     QP for the cost gradient ``gradient(y)``; clip the update to the unit
     box.  ``template`` is the loop's step_qp_template for (grid, smap,
-    config.alpha).  Returns the step record and the true plant state that
+    alpha).  Returns the step record and the true plant state that
     produced the measurement.  An infeasible QP holds the control (w = 0)
     rather than taking an unreliable direction.
     """
@@ -234,17 +223,16 @@ def closed_loop_step(
         )
     y = measure(state, noise.measurement_noise(k) if noise is not None else None)
     grad_phi = gradient(y)
-    solution = solve_qp(build_step_qp(u, y, smap, grid, config, grad_phi, template))
+    solution = solve_qp(build_step_qp(u, y, smap, grid, grad_phi, template))
     if solution.status == "optimal":
         w = solution.w
-        u_next, _ = clip_control(grid, u + config.alpha * w)
+        u_next, _ = clip_control(grid, u + alpha * w)
     else:
         w = np.zeros_like(u)
         u_next = u.copy()
     step = OFOStep(
         k=k,
         y=y,
-        grad_phi=grad_phi,
         w=w,
         u=u.copy(),
         u_next=u_next,
@@ -252,23 +240,6 @@ def closed_loop_step(
         active_count=len(solution.active_set),
     )
     return step, state
-
-
-def ofo_step(
-    grid: GridModel,
-    u: np.ndarray,
-    smap,
-    config: ControllerConfig,
-    setpoint: SetPoint,
-    k: int = 0,
-    noise: NoiseModel | None = None,
-    initial: SystemState | None = None,
-    template: QuadraticProgram | None = None,
-) -> tuple[OFOStep, SystemState]:
-    """One closed-loop iteration tracking ``setpoint`` (see closed_loop_step)."""
-    return closed_loop_step(
-        grid, u, smap, config, lambda y: grad_cost(y, setpoint), k, noise, initial, template
-    )
 
 
 def run_schedule(
@@ -309,9 +280,9 @@ def run_schedule(
         seg_converged = False
         for _ in range(config.max_iterations):
             try:
-                step, state = ofo_step(
-                    grid, u, smap, config, setpoint,
-                    k=k, noise=noise, initial=state, template=template,
+                step, state = closed_loop_step(
+                    grid, u, smap, config.alpha, lambda y: grad_cost(y, setpoint), template,
+                    k=k, noise=noise, initial=state,
                 )
             except PowerFlowError as exc:
                 aborted = True

@@ -51,23 +51,19 @@ class QuadraticProgram:
     """minimize ||w + g||^2 subject to lower <= a @ w <= upper.
 
     Use -inf / +inf entries to express one-sided rows; rows with both
-    bounds infinite are ignored.  ``labels`` optionally names rows for
-    diagnostics.
+    bounds infinite are ignored.
     """
 
     g: np.ndarray
     a: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.a, dtype=float))
         object.__setattr__(self, "a", a)
         if not np.all(np.isfinite(a)):
             raise QPError("constraint matrix has non-finite entries")
-        if self.labels is not None and len(self.labels) != a.shape[0]:
-            raise QPError("labels must have one entry per constraint row")
         self._set_vectors(self.g, self.lower, self.upper)
 
     def _set_vectors(self, g, lower, upper) -> None:
@@ -91,7 +87,7 @@ class QuadraticProgram:
             raise QPError(f"row {bad}: lower bound {lower[bad]} exceeds upper {upper[bad]}")
 
     def with_vectors(self, g, lower, upper) -> "QuadraticProgram":
-        """This problem's matrix and labels with a new g and new bounds.
+        """This problem's matrix with a new g and new bounds.
 
         The new vectors are checked as the constructor checks them; the
         matrix is not checked again.  When the same bounds are finite, the
@@ -101,7 +97,6 @@ class QuadraticProgram:
         """
         derived = object.__new__(QuadraticProgram)
         object.__setattr__(derived, "a", self.a)
-        object.__setattr__(derived, "labels", self.labels)
         derived._set_vectors(g, lower, upper)
         normals = self._normals
         if (np.isfinite(derived._sides) == normals.finite).all():
@@ -138,8 +133,16 @@ class QuadraticProgram:
 
     @cached_property
     def expanded(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
-        """The one-sided rows (see _expand), built once per problem."""
-        return _expand(self)
+        """Two-sided rows rewritten as one-sided normals: c_i @ w >= b_i.
+
+        Returns (c, b, tags) where tags[i] = (original row, "lower"|"upper").
+        Rows keep the original order, a row's lower side before its upper
+        side; infinite bounds give no row.  Built once per problem.
+        """
+        normals = self._normals
+        b = self._sides[normals.keep]
+        b[normals.flip] = -b[normals.flip]
+        return normals.c, b, normals.tags
 
     def objective(self, w: np.ndarray) -> float:
         return float(np.sum((np.asarray(w, dtype=float) + self.g) ** 2))
@@ -190,19 +193,6 @@ class KKTReport:
             self.dual_feasibility,
             self.complementarity,
         )
-
-
-def _expand(problem: QuadraticProgram):
-    """Rewrite two-sided rows as one-sided normals: c_i @ w >= b_i.
-
-    Returns (c, b, tags) where tags[i] = (original row, "lower"|"upper").
-    Rows keep the original order, a row's lower side before its upper side;
-    infinite bounds give no row.
-    """
-    normals = problem._normals
-    b = problem._sides[normals.keep]
-    b[normals.flip] = -b[normals.flip]
-    return normals.c, b, normals.tags
 
 
 def _projection_step(c_all: np.ndarray, gram: np.ndarray, active: list[int], p: int):
@@ -292,13 +282,11 @@ def solve_qp(problem: QuadraticProgram, max_iter: int | None = None) -> QPSoluti
     )
 
 
-def check_kkt(
-    problem: QuadraticProgram, w: np.ndarray, active_tol: float = 1e-6
-) -> KKTReport:
+def check_kkt(problem: QuadraticProgram, w: np.ndarray) -> KKTReport:
     """Score a candidate point against the KKT conditions.
 
     Multipliers are recovered by non-negative least squares on the gradients
-    of near-active rows (slack <= active_tol), so the check shares no state
+    of near-active rows (slack <= 1e-6), so the check shares no state
     with the solver's own active-set bookkeeping.  Stationarity is measured
     from the returned multipliers, so an NNLS stopped at its iteration cap
     can only overstate the residual.
@@ -315,7 +303,7 @@ def check_kkt(
         )
     slack = c_all @ w - b_all
     primal = max(0.0, -float(slack.min()))
-    near = slack <= active_tol
+    near = slack <= 1e-6
     if near.any():
         gradients = c_all[near].T
         mu = nnls(gradients, grad)

@@ -20,7 +20,7 @@ import numpy as np
 from flexsafe.grid_model import GridError, GridModel, load_grid
 from flexsafe.ofo_controller import ControllerConfig, SetPoint
 from flexsafe.for_region import SweepConfig
-from flexsafe.uncertainty_mc import NoiseConfig
+from flexsafe.uncertainty_mc import NoiseConfig, check_load_channel
 
 #: Schedule directive: expand to one single-target run per region vertex.
 HULL_VERTICES = "hull-vertices"
@@ -91,6 +91,13 @@ def _convert(raw, kind: type, key: str, where: str):
         ) from None
 
 
+def _numbers(raw, key: str, where: str) -> list[float]:
+    """``raw`` as a list of numbers, each checked by _convert."""
+    if not isinstance(raw, list):
+        raise ScenarioError(f"{where}: '{key}' must be a list of numbers, got {raw!r}")
+    return [_convert(x, float, key, where) for x in raw]
+
+
 def _parse_schedule(raw) -> tuple[SetPoint, ...] | str:
     if raw == HULL_VERTICES:
         return HULL_VERTICES
@@ -100,41 +107,42 @@ def _parse_schedule(raw) -> tuple[SetPoint, ...] | str:
         )
     targets = []
     for i, item in enumerate(raw):
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
+        if not isinstance(item, list) or len(item) != 2:
             raise ScenarioError(f"schedule entry {i} is not a [p, q] pair: {item!r}")
-        try:
-            targets.append(SetPoint(p_set=float(item[0]), q_set=float(item[1])))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"schedule entry {i}: {exc}") from exc
+        targets.append(SetPoint(*_numbers(item, "schedule", f"schedule entry {i}")))
     return tuple(targets)
 
 
 def _parse_noise(block: dict | None) -> NoiseConfig | None:
     if block is None:
         return None
-    if "seed" not in block:
-        raise ScenarioError("'noise' block requires a 'seed'")
+    if not isinstance(block, dict) or "seed" not in block:
+        raise ScenarioError(f"'noise' must be an object with a 'seed', got {block!r}")
     unknown = set(block) - {"seed", "load_sigma", "load_cov", "meas_bounds", "sens_bounds"}
     if unknown:
         raise ScenarioError(f"unknown noise keys: {sorted(unknown)}")
-    seed = _number(block, "seed", None, int, "noise block")
+    where = "noise block"
+    seed = _number(block, "seed", None, int, where)
     if seed < 0:
         raise ScenarioError(f"noise block: 'seed' must be non-negative, got {seed}")
+    sigma, cov, meas, sens = (
+        block.get(k) for k in ("load_sigma", "load_cov", "meas_bounds", "sens_bounds")
+    )
+    if sigma is not None:
+        if not isinstance(sigma, dict):
+            raise ScenarioError(f"{where}: 'load_sigma' must be an object, got {sigma!r}")
+        sigma = {cls: _convert(x, float, "load_sigma", where) for cls, x in sigma.items()}
+    if cov is not None:
+        if not isinstance(cov, list):
+            raise ScenarioError(f"{where}: 'load_cov' must be a list of rows, got {cov!r}")
+        cov = [_numbers(row, "load_cov", where) for row in cov]
     try:
         return NoiseConfig(
             seed=seed,
-            load_sigma=block.get("load_sigma"),
-            load_cov=(
-                np.asarray(block["load_cov"], dtype=float)
-                if block.get("load_cov") is not None
-                else None
-            ),
-            meas_bounds=(
-                tuple(block["meas_bounds"]) if block.get("meas_bounds") else None
-            ),
-            sens_bounds=(
-                tuple(block["sens_bounds"]) if block.get("sens_bounds") else None
-            ),
+            load_sigma=sigma,
+            load_cov=None if cov is None else np.array(cov),
+            meas_bounds=None if meas is None else tuple(_numbers(meas, "meas_bounds", where)),
+            sens_bounds=None if sens is None else tuple(_numbers(sens, "sens_bounds", where)),
         )
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"noise block: {exc}") from exc
@@ -158,6 +166,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     for key in ("grid", "controller", "schedule"):
         if key not in doc:
             raise ScenarioError(f"{path}: missing required key '{key}'")
+    if not isinstance(doc["grid"], str):
+        raise ScenarioError(f"{path}: 'grid' must be a path string, got {doc['grid']!r}")
 
     grid_path = (path.parent / doc["grid"]).resolve()
     try:
@@ -184,16 +194,18 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
 
     u0 = None
     if doc.get("u0") is not None:
-        try:
-            u0 = np.asarray(doc["u0"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"u0 must be a list of numbers: {exc}") from exc
+        u0 = np.array(_numbers(doc["u0"], "u0", str(path)))
         if u0.shape != (2 * grid.n_ctrl,):
             raise ScenarioError(
                 f"u0 has {u0.size} entries; the grid has {2 * grid.n_ctrl} controls"
             )
 
     noise = _parse_noise(doc.get("noise"))
+    if noise is not None:
+        try:
+            check_load_channel(grid, noise)
+        except ValueError as exc:
+            raise ScenarioError(f"noise block: {exc}") from exc
 
     for_block = _as_mapping(doc, "for")
     unknown = set(for_block) - {
@@ -237,6 +249,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if any(k < 0 for k in iterations):
         raise ScenarioError("histogram_iterations must be non-negative")
 
+    if doc.get("out_dir") is not None and not isinstance(doc["out_dir"], str):
+        raise ScenarioError(f"{path}: 'out_dir' must be a path string, got {doc['out_dir']!r}")
     out_dir = Path(doc["out_dir"]) if doc.get("out_dir") else None
     if out_dir is not None and not out_dir.is_absolute():
         out_dir = (path.parent / out_dir).resolve()

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from flexsafe.grid_model import GridModel, apply_control, control_labels
+from flexsafe.grid_model import GridModel, control_labels
 from flexsafe.power_flow import (
     PowerFlowError,
     SingularJacobianError,
@@ -41,8 +41,7 @@ FLOW_EPS = 1e-12
 class SensitivityMap:
     """Dense map dy/du with the measurement-row / control-column layout.
 
-    ``u0`` and ``state`` record the linearization point; ``mismatch_applied``
-    is the relative-error bound pair once perturb_sensitivity has run.
+    ``u0`` and ``state`` record the linearization point.
     """
 
     matrix: np.ndarray
@@ -50,7 +49,6 @@ class SensitivityMap:
     state: SystemState
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
-    mismatch_applied: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.matrix)):
@@ -135,23 +133,21 @@ def compute_sensitivity(grid: GridModel, u0: np.ndarray | None = None) -> Sensit
     if u0 is None:
         u0 = grid.control_vector()
     u0 = np.asarray(u0, dtype=float)
-    grid_u = apply_control(grid, u0)
-    state = solve_power_flow(grid_u, tol=1e-10, max_iter=40)
+    state = solve_power_flow(grid, tol=1e-10, max_iter=40, control=u0)
     if not state.converged:
         raise PowerFlowError(
             f"power flow did not converge at the linearization point "
             f"(mismatch {state.mismatch:.3e})"
         )
     voltage = state.v * np.exp(1j * state.theta)
-    pq = list(grid_u.pq_indices)
+    pq = list(grid.pq_indices)
     npq = len(pq)
     pos = {bus: i for i, bus in enumerate(pq)}
 
-    jac = mismatch_jacobian(grid_u.ybus_pq, voltage[pq], (grid_u.ybus @ voltage)[pq])
-    selector = np.zeros((2 * npq, 2 * grid_u.n_ctrl))
-    j = grid_u.n_ctrl
-    for col, ui in enumerate(grid_u.ctrl_indices):
-        bus = grid_u.bus_index[grid_u.flex_units[ui].bus]
+    jac = mismatch_jacobian(grid.ybus_pq, voltage[pq], (grid.ybus @ voltage)[pq])
+    selector = np.zeros((2 * npq, 2 * grid.n_ctrl))
+    j = grid.n_ctrl
+    for col, bus in enumerate(grid.ctrl_buses):
         if bus not in pos:  # unit at the slack bus never moves the network state
             continue
         selector[pos[bus], col] = 1.0
@@ -163,7 +159,7 @@ def compute_sensitivity(grid: GridModel, u0: np.ndarray | None = None) -> Sensit
             f"singular Jacobian at the linearization point (cond ~ {np.linalg.cond(jac):.3e})"
         ) from exc
 
-    matrix = _measurement_jacobian(grid_u, voltage, pq) @ dx_du
+    matrix = _measurement_jacobian(grid, voltage, pq) @ dx_du
     return SensitivityMap(
         matrix=matrix,
         u0=u0.copy(),
@@ -223,7 +219,7 @@ def perturb_sensitivity(
         raise ValueError(f"mismatch bounds must satisfy c <= d, got [{c}, {d}]")
     rng = np.random.default_rng(seed)
     factor = 1.0 + rng.uniform(c, d, size=smap.matrix.shape)
-    return replace(smap, matrix=smap.matrix * factor, mismatch_applied=(c, d))
+    return replace(smap, matrix=smap.matrix * factor)
 
 
 def export_sensitivity_csv(smap: SensitivityMap, path: str | Path) -> None:

@@ -43,24 +43,13 @@ class TrialFailure:
 
 @dataclass(frozen=True, eq=False)
 class TrajectorySet:
-    """Trajectories under one scenario plus provenance of how they were made."""
+    """Trajectories under one scenario, with the runs that failed listed apart."""
 
     trajectories: tuple[Trajectory, ...]
-    provenance: dict | None = None
     failures: tuple[TrialFailure, ...] = ()
 
     def __len__(self) -> int:
         return len(self.trajectories)
-
-
-@dataclass(frozen=True, eq=False)
-class PQProjection:
-    """A trajectory reduced to its true PCC path."""
-
-    points: np.ndarray
-    k_f: int
-    converged: bool
-    aborted: bool
 
 
 @dataclass(frozen=True)
@@ -94,16 +83,6 @@ class RobustnessReport:
     convergence_rate: float
     rate_ci: tuple[float, float]
     coverage: float
-
-
-def project_trajectory(traj: Trajectory) -> PQProjection:
-    """Reduce a closed-loop record to the PCC plane."""
-    return PQProjection(
-        points=traj.pcc_path(),
-        k_f=traj.k_f,
-        converged=traj.converged,
-        aborted=traj.aborted,
-    )
 
 
 def _as_trajectories(tset) -> tuple[Trajectory, ...]:

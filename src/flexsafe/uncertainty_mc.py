@@ -17,10 +17,12 @@ and a parallel run reproduces the serial run byte for byte.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from numbers import Real
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from flexsafe.trajectory_analysis import (
     TOL_SAFETY,
     TrajectorySet,
     TrialFailure,
+    _as_trajectories,
     wilson_interval,
 )
 from flexsafe.for_region import FORPolygon, contains_many
@@ -59,11 +62,13 @@ class NoiseConfig:
 
     def __post_init__(self):
         if self.load_sigma is not None:
+            if not isinstance(self.load_sigma, Mapping):
+                raise ValueError(f"load_sigma must map classes to sigmas: {self.load_sigma!r}")
             for cls, sigma in self.load_sigma.items():
                 if cls not in LOAD_CLASSES:
                     raise ValueError(f"unknown load class {cls!r}")
-                if sigma < 0:
-                    raise ValueError(f"load sigma for {cls!r} must be non-negative")
+                if not (_finite(sigma) and sigma >= 0):
+                    raise ValueError(f"load sigma for {cls!r} must be finite and non-negative")
         if self.load_sigma is not None and self.load_cov is not None:
             raise ValueError("specify load_sigma or load_cov, not both")
         if self.load_cov is not None:
@@ -71,6 +76,8 @@ class NoiseConfig:
             object.__setattr__(self, "load_cov", cov)
             if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
                 raise ValueError("load covariance must be square")
+            if not np.isfinite(cov).all():
+                raise ValueError("load covariance entries must be finite")
             if not np.allclose(cov, cov.T, atol=1e-12):
                 raise ValueError("load covariance must be symmetric")
             eigvals = np.linalg.eigvalsh(cov)
@@ -78,12 +85,22 @@ class NoiseConfig:
                 raise ValueError("load covariance must be positive semi-definite")
         for name in ("meas_bounds", "sens_bounds"):
             val = getattr(self, name)
-            if val is not None and val[0] > val[1]:
-                raise ValueError(f"{name} must satisfy lo <= hi, got {val}")
+            if val is not None and not (
+                isinstance(val, (tuple, list))
+                and len(val) == 2
+                and all(map(_finite, val))
+                and val[0] <= val[1]
+            ):
+                raise ValueError(f"{name} must be two finite numbers lo <= hi, got {val!r}")
 
     @property
     def load_enabled(self) -> bool:
         return self.load_sigma is not None or self.load_cov is not None
+
+
+def _finite(x) -> bool:
+    """x is a finite real number; booleans are not numbers here."""
+    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def channel_stream(seed: int, trial: int, channel: int, iteration: int | None = None):
@@ -92,17 +109,27 @@ def channel_stream(seed: int, trial: int, channel: int, iteration: int | None = 
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
+def check_load_channel(grid: GridModel, config: NoiseConfig) -> None:
+    """Raise ValueError unless the load channel fits the grid's loads."""
+    n_loads = len(grid.fixed_loads)
+    if config.load_cov is not None and config.load_cov.shape[0] != 2 * n_loads:
+        raise ValueError(
+            f"load covariance is {config.load_cov.shape[0]}-dim "
+            f"but the grid has {n_loads} loads"
+        )
+    if config.load_sigma is not None:
+        missing = {ld.load_class for ld in grid.fixed_loads} - set(config.load_sigma)
+        if missing:
+            raise ValueError(f"load_sigma missing classes: {sorted(missing)}")
+
+
 def sample_load_noise(
     grid: GridModel, config: NoiseConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """One additive load perturbation, shape (n_loads, 2) for (dp, dq)."""
+    check_load_channel(grid, config)
     n_loads = len(grid.fixed_loads)
     if config.load_cov is not None:
-        if config.load_cov.shape[0] != 2 * n_loads:
-            raise ValueError(
-                f"load covariance is {config.load_cov.shape[0]}-dim "
-                f"but the grid has {n_loads} loads"
-            )
         # eigh handles rank-deficient covariances (e.g. one common factor
         # driving every load) that a plain Cholesky factorization rejects.
         flat = rng.multivariate_normal(
@@ -111,9 +138,6 @@ def sample_load_noise(
         return np.stack([flat[:n_loads], flat[n_loads:]], axis=1)
     if config.load_sigma is None:
         return np.zeros((n_loads, 2))
-    missing = {ld.load_class for ld in grid.fixed_loads} - set(config.load_sigma)
-    if missing:
-        raise ValueError(f"load_sigma missing classes: {sorted(missing)}")
     sigma = np.array([config.load_sigma[ld.load_class] for ld in grid.fixed_loads])
     return rng.normal(0.0, 1.0, size=(n_loads, 2)) * sigma[:, None]
 
@@ -203,18 +227,7 @@ def run_monte_carlo(
         for t, traj in enumerate(trajectories)
         if traj.aborted
     )
-    provenance = {
-        "seed": noise_config.seed,
-        "n_trials": n_trials,
-        "channels": {
-            "load": noise_config.load_enabled,
-            "measurement": noise_config.meas_bounds is not None,
-            "sensitivity": noise_config.sens_bounds is not None,
-        },
-    }
-    return TrajectorySet(
-        trajectories=tuple(trajectories), provenance=provenance, failures=failures
-    )
+    return TrajectorySet(trajectories=tuple(trajectories), failures=failures)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,22 +254,16 @@ def density_histogram(
     tset: TrajectorySet | Sequence[Trajectory],
     bins: int | tuple[int, int] = 40,
     iteration: int | None = None,
-    state_filter: Callable[[Trajectory], bool] | None = None,
     extent: tuple[tuple[float, float], tuple[float, float]] | None = None,
-    pad: float = 0.0,
 ) -> DensityHistogram:
     """Bin true PCC states; iteration=None pools every recorded state.
 
     With an explicit ``extent``, points outside are dropped and counted;
-    the default extent is the data bounding box grown by ``pad`` on every
+    the default extent is the data bounding box grown by 1e-9 on every
     side.  Density is count / (cell area x binned total), so the histogram
     integrates to one by construction whenever anything was binned.
     """
-    trajs = (
-        tset.trajectories if isinstance(tset, TrajectorySet) else tuple(tset)
-    )
-    if state_filter is not None:
-        trajs = tuple(t for t in trajs if state_filter(t))
+    trajs = _as_trajectories(tset)
     pts_list: list[np.ndarray] = []
     n_missing = 0
     for traj in trajs:
@@ -273,7 +280,7 @@ def density_histogram(
     pts = np.vstack(pts_list)
 
     if extent is None:
-        span = max(pad, 1e-9)
+        span = 1e-9
         p_lo, p_hi = pts[:, 0].min() - span, pts[:, 0].max() + span
         q_lo, q_hi = pts[:, 1].min() - span, pts[:, 1].max() + span
         extent = ((p_lo, p_hi), (q_lo, q_hi))
@@ -300,9 +307,7 @@ def critical_fraction(
     tol: float = TOL_SAFETY,
 ) -> tuple[float, tuple[float, float]]:
     """Fraction of trials that ever left the region (aborts count), with CI."""
-    trajs = (
-        tset.trajectories if isinstance(tset, TrajectorySet) else tuple(tset)
-    )
+    trajs = _as_trajectories(tset)
     if not trajs:
         raise ValueError("cannot score an empty trajectory set")
     n_critical = 0

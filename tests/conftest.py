@@ -103,7 +103,6 @@ def make_trajectory(
         OFOStep(
             k=i,
             y=y,
-            grad_phi=np.zeros(3),
             w=zeros,
             u=zeros,
             u_next=zeros,

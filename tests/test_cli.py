@@ -211,6 +211,33 @@ def test_boolean_iteration_cap_exits_1(workdir, capsys):
     assert "'max_iterations' must be an integer" in capsys.readouterr().err
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("command", ["run", "mc"])
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"noise": {"seed": 1, "meas_bounds": [0.1]}}, "meas_bounds"),
+        ({"noise": {"seed": 1, "meas_bounds": ["a", "b"]}}, "meas_bounds"),
+        ({"noise": {"seed": 1, "sens_bounds": [NAN, 0.1]}}, "sens_bounds"),
+        ({"noise": {"seed": 1, "load_sigma": [1, 2]}}, "load_sigma"),
+        ({"noise": {"seed": 1, "load_sigma": {}}}, "load_sigma"),
+        ({"noise": {"seed": 1, "load_cov": [[0.01]]}}, "covariance"),
+        ({"noise": {"seed": 1, "load_sigma": {"household": 0.1, "industry": NAN}}}, "load_sigma"),
+        ({"grid": 5}, "grid"),
+        ({"out_dir": 5}, "out_dir"),
+        ({"u0": [NAN] * 4}, "u0"),
+        ({"schedule": [[True, 0]]}, "schedule"),
+    ],
+)
+def test_malformed_inputs_exit_1(workdir, capsys, command, change, key):
+    path = write_scenario(workdir, {**base_doc(noise=NOISE), **change})
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", [["--jobs", "0"], ["--seed", "-1"], ["--jobs", "two"]])
 def test_bad_numeric_flags_exit_1(workdir, capsys, flag):
     path = write_scenario(workdir, base_doc(noise=NOISE, mc={"n_trials": 2}))

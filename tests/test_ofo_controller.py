@@ -10,15 +10,15 @@ from flexsafe.ofo_controller import (
     SetPoint,
     build_step_qp,
     calibrate_alpha,
+    closed_loop_step,
     export_trajectory_csv,
     grad_cost,
-    ofo_step,
     run_schedule,
     step_qp_template,
 )
 from flexsafe.grid_model import apply_control
 from flexsafe.power_flow import measure, solve_power_flow
-from flexsafe.qp_solver import solve_qp
+from flexsafe.qp_solver import QuadraticProgram, solve_qp
 from flexsafe.sensitivity import compute_sensitivity
 
 
@@ -45,7 +45,8 @@ def test_step_qp_encodes_scaled_limits(ring4, ring4_map, config):
     u = ring4.control_vector()
     y = measure(solve_power_flow(ring4))
     grad = grad_cost(y, SetPoint(0.0, 0.0))
-    problem = build_step_qp(u, y, ring4_map, ring4, config, grad)
+    template = step_qp_template(ring4, ring4_map, config.alpha)
+    problem = build_step_qp(u, y, ring4_map, ring4, grad, template)
     n_ctrl2 = 2 * ring4.n_ctrl
     n, m = ring4.n_bus, len(ring4.branches)
     assert problem.a.shape == (n_ctrl2 + n + m, n_ctrl2)
@@ -71,14 +72,19 @@ def test_step_qp_from_template_matches_fresh_build(ring4, ring4_map, config):
     template = step_qp_template(ring4, ring4_map, config.alpha)
     rng = np.random.default_rng(4)
     lower_u, upper_u = ring4.control_bounds()
+    n_rows = ring4.n_bus + ring4.n_branch
     for _ in range(5):
         u = rng.uniform(lower_u, upper_u)
         y = measure(solve_power_flow(ring4, control=u))
         grad = grad_cost(y, SetPoint(rng.normal(), rng.normal()))
-        fresh = build_step_qp(u, y, ring4_map, ring4, config, grad)
-        derived = build_step_qp(u, y, ring4_map, ring4, config, grad, template)
-        assert derived.a is template.a and derived.labels is template.labels
-        assert derived.labels == fresh.labels
+        fresh = QuadraticProgram(
+            g=2.0 * (ring4_map.matrix.T @ grad),
+            a=np.vstack([config.alpha * np.eye(u.size), config.alpha * ring4_map.matrix[:n_rows]]),
+            lower=np.concatenate([lower_u - u, ring4.v_min - y.v, -y.s]),
+            upper=np.concatenate([upper_u - u, ring4.v_max - y.v, ring4.s_max - y.s]),
+        )
+        derived = build_step_qp(u, y, ring4_map, ring4, grad, template)
+        assert derived.a is template.a
         for name in ("g", "a", "lower", "upper"):
             assert np.array_equal(getattr(derived, name), getattr(fresh, name)), name
         assert derived._normals is template._normals  # rows expanded once per run
@@ -90,7 +96,10 @@ def test_step_qp_from_template_matches_fresh_build(ring4, ring4_map, config):
 def test_single_step_descends_cost(ring4, ring4_map, config):
     target = SetPoint(p_set=0.2, q_set=0.0)
     u = ring4.control_vector()
-    step, state = ofo_step(ring4, u, ring4_map, config, target)
+    template = step_qp_template(ring4, ring4_map, config.alpha)
+    step, state = closed_loop_step(
+        ring4, u, ring4_map, config.alpha, lambda y: grad_cost(y, target), template
+    )
     assert step.qp_status == "optimal"
     before = target.distance(step.y.p_pcc, step.y.q_pcc)
     after_state = solve_power_flow(apply_control(ring4, step.u_next))
@@ -156,7 +165,11 @@ def test_infeasible_qp_holds_control(ring4, ring4_map, config):
             return MeasurementNoise(24.0, 25.0, np.random.default_rng(k))
 
     u = ring4.control_vector()
-    step, _ = ofo_step(ring4, u, ring4_map, config, SetPoint(0.0, 0.0), noise=BrokenMeter())
+    template = step_qp_template(ring4, ring4_map, config.alpha)
+    step, _ = closed_loop_step(
+        ring4, u, ring4_map, config.alpha, lambda y: grad_cost(y, SetPoint(0.0, 0.0)),
+        template, noise=BrokenMeter(),
+    )
     assert step.qp_status == "infeasible"
     assert np.array_equal(step.u_next, u)
     assert np.all(step.w == 0.0)

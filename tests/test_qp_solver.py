@@ -12,7 +12,6 @@ from flexsafe.qp_solver import (
     KKTReport,
     QPError,
     QuadraticProgram,
-    _expand,
     check_kkt,
     nnls,
     solve_qp,
@@ -102,7 +101,6 @@ def test_active_set_tags_name_the_binding_side():
         a=np.eye(2),
         lower=np.array([-1.0, -1.0]),
         upper=np.array([1.0, 1.0]),
-        labels=("row0", "row1"),
     )
     sol = solve_qp(problem)
     assert sorted(sol.active_set) == [(0, "lower"), (1, "upper")]
@@ -161,7 +159,7 @@ def test_lattice_oracle_matches_brute_force(lattice_points):
 
 
 def _expand_row_loop(problem):
-    """Row-by-row expansion into one-sided rows; the reference for _expand."""
+    """Row-by-row expansion into one-sided rows; the reference for expanded."""
     rows, offsets, tags = [], [], []
     for i in range(problem.a.shape[0]):
         if np.isfinite(problem.lower[i]):
@@ -196,7 +194,7 @@ def test_expand_matches_row_loop():
         a = rng.normal(size=(m, n))
         problems.append(QuadraticProgram(g=rng.normal(size=n), a=a, lower=lower, upper=upper))
     for problem in problems:
-        c, b, tags = _expand(problem)
+        c, b, tags = problem.expanded
         c_ref, b_ref, tags_ref = _expand_row_loop(problem)
         assert c.shape == c_ref.shape and np.array_equal(c, c_ref)
         assert np.array_equal(b, b_ref)

@@ -1,9 +1,12 @@
 """Scenario file parsing: defaults, validation, path resolution, hashing."""
 
 import json
+import math
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexsafe.scenario import (
     HULL_VERTICES,
@@ -169,3 +172,84 @@ def test_hash_matches_loaded_scenario(scenario_dir):
     path = write_scenario(scenario_dir, MINIMAL)
     sc = load_scenario(path)
     assert sc.config_hash == config_hash(json.loads(path.read_text()))
+
+
+SIGMA = {"household": 0.01, "industry": 0.01, "commercial": 0.01}
+FULL = {
+    **MINIMAL,
+    "controller": {"alpha": 0.1, "max_iterations": 50, "convergence_tol": 1e-3},
+    "schedule": [[0.2, 0.1], [0.0, -0.1]],
+    "u0": [0.1, 0.0, 0.0, 0.0],
+    "noise": {
+        "seed": 7,
+        "load_sigma": SIGMA,
+        "meas_bounds": [-0.02, 0.02],
+        "sens_bounds": [-0.05, 0.05],
+    },
+    "for": {"n_angles": 16, "oracle_samples": 800, "gain_scale": 0.1, "patience": 8},
+    "mc": {"n_trials": 12, "histogram_bins": 10, "histogram_iterations": [0, 5]},
+    "out_dir": "results",
+}
+# ring4 has three loads: a covariance over their six (dp, dq) entries.
+COV = [[0.01 * (i == j) for j in range(6)] for i in range(6)]
+WITH_COV = {**FULL, "noise": {"seed": 7, "load_cov": COV}}
+ODD_VALUES = [None, True, 2.5, float("nan"), float("inf"), -float("inf"), -1, "x", [], {}, [0.1]]
+DELETE = object()
+
+
+def _paths(node, prefix=()):
+    """Every key and list position under node, as a path of keys and indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        if not isinstance(parent, dict):
+            return None
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def mutated_scenarios(draw):
+    base = draw(st.sampled_from([MINIMAL, FULL, WITH_COV]))
+    path = draw(st.sampled_from(list(_paths(base))))
+    doc = _mutated(base, path, draw(st.sampled_from([*ODD_VALUES, DELETE])))
+    return base if doc is None else doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    shutil.copy(grid_path("ring4"), directory / "ring4.json")
+    return directory
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=mutated_scenarios())
+def test_mutated_scenario_loads_or_raises_scenario_error(fuzz_dir, doc):
+    """One odd key or leaf gives a ScenarioError or a scenario whose numbers are finite."""
+    try:
+        sc = load_scenario(write_scenario(fuzz_dir, doc))
+    except ScenarioError:
+        return
+    numbers = [] if sc.u0 is None else list(sc.u0)
+    if sc.schedule != HULL_VERTICES:
+        numbers += [x for sp in sc.schedule for x in (sp.p_set, sp.q_set)]
+    if sc.noise is not None:
+        numbers += list((sc.noise.load_sigma or {}).values())
+        numbers += [] if sc.noise.load_cov is None else list(sc.noise.load_cov.ravel())
+        numbers += [*(sc.noise.meas_bounds or ()), *(sc.noise.sens_bounds or ())]
+    assert all(type(x) is not bool and math.isfinite(x) for x in numbers)

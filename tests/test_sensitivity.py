@@ -77,7 +77,6 @@ def test_oracle_refuses_stencil_across_bounds(ring4):
 def test_perturbation_bounds_and_determinism(ring4):
     smap = compute_sensitivity(ring4)
     noisy = perturb_sensitivity(smap, (-0.05, 0.05), seed=42)
-    assert noisy.mismatch_applied == (-0.05, 0.05)
     nonzero = smap.matrix != 0.0
     ratio = noisy.matrix[nonzero] / smap.matrix[nonzero]
     assert np.all(ratio >= 0.95 - 1e-12) and np.all(ratio <= 1.05 + 1e-12)

@@ -15,7 +15,6 @@ from flexsafe.trajectory_analysis import (
     classify,
     coverage_metric,
     export_verdict_json,
-    project_trajectory,
     robustness_verdict,
     verdict_payload,
     wilson_interval,
@@ -37,14 +36,10 @@ EXCURSION_PATH = [(0.0, 0.0), (0.9, 0.9), (0.3, 0.2)]  # leaves, comes back
 ESCAPE_PATH = [(0.0, 0.0), (0.5, 0.2), (0.9, 0.9)]  # ends outside
 
 
-def test_projection_extracts_pcc_path():
-    traj = make_trajectory(INSIDE_PATH)
-    proj = project_trajectory(traj)
-    assert np.array_equal(proj.points, np.asarray(INSIDE_PATH))
-
-
 def test_all_inside_is_safe(diamond):
-    verdict = classify([make_trajectory(INSIDE_PATH)] * 3, diamond)
+    traj = make_trajectory(INSIDE_PATH)
+    assert np.array_equal(traj.pcc_path(), np.asarray(INSIDE_PATH))
+    verdict = classify([traj] * 3, diamond)
     assert verdict.safety_class is SafetyClass.SAFE
     assert verdict.n_trajectories == 3
     assert verdict.n_transient_exits == 0
@@ -100,7 +95,6 @@ def test_classify_accepts_trajectory_set_wrapper(diamond):
             make_trajectory(INSIDE_PATH),
             make_trajectory(INSIDE_PATH, aborted=True),
         ),
-        provenance={"seed": 0},
         failures=(TrialFailure(trial=1, reason="power flow diverged"),),
     )
     assert len(tset) == 2
