@@ -1,15 +1,14 @@
 """Static grid data model: buses, branches, flexible units, fixed loads.
 
 Grid files carry physical units (MW / MVAr / kV); everything in memory is
-per-unit on ``s_base``.  The model is immutable after load -- controller
-updates reach the power flow as a control vector (``bus_injections(control)``)
-and :func:`apply_control` returns a new value, so a single model can be
-shared freely across concurrent trials.
+per-unit on ``s_base``.  The model is immutable after load, so a single
+model can be shared freely across concurrent trials.
 
 The static network (index maps, limit vectors, branch admittances, Ybus)
-is computed once per loaded grid.  Grids derived by :func:`derive_injections`
-(set points or loads changed, nothing else) share those arrays instead of
-rebuilding them, so a closed-loop step pays only for its injections.
+is computed once per loaded grid.  A closed-loop step never builds a new
+grid: the control vector and, under load noise, an (n_loads, 2) array of
+load changes reach the power flow as data (``bus_injections(control,
+load_delta)``), so a step pays only for its injections.
 """
 
 from __future__ import annotations
@@ -107,7 +106,8 @@ class GridModel:
 
     Voltage and flow limits plus the FlexUnit boxes are the inequality
     constraints enforced by the controller; the nodal power balances the
-    power-flow solver drives to zero are the matching equalities.
+    power-flow solver drives to zero are the matching equalities.  A run
+    holds one model and varies only what it passes to bus_injections.
     """
 
     s_base: float  # MVA
@@ -196,32 +196,59 @@ class GridModel:
         upper = np.array([fu.p_max for fu in units] + [fu.q_max for fu in units])
         return _read_only(lower), _read_only(upper)
 
-    def bus_injections(self, control: np.ndarray | None = None) -> np.ndarray:
+    def bus_injections(
+        self, control: np.ndarray | None = None, load_delta: np.ndarray | None = None
+    ) -> np.ndarray:
         """Net complex injection per bus (generation positive), p.u.
 
         With ``control``, the controllable units inject that control vector
         instead of their set points, clipped silently to their boxes: the
         injections of ``apply_control(self, control)``, without building it.
+        With ``load_delta``, an (n_loads, 2) array of (dp, dq) in declaration
+        order, each fixed load draws (p + dp) + j(q + dq) instead of p + jq.
         """
         if control is None:
             u = self.control_vector()
         else:
             u = np.clip(_as_control(self, control), *self.control_bounds())
+        if load_delta is None:
+            s = self._uncontrolled_injections.copy()
+        else:
+            s = self._minus_loads(load_delta)
         j = self.n_ctrl
-        s = self._uncontrolled_injections.copy()
         np.add.at(s, self.ctrl_buses, u[:j] + 1j * u[j:])
         return s
 
     @cached_property
     def _uncontrolled_injections(self) -> np.ndarray:
         """Injection per bus of the fixed loads and non-controllable units (read-only)."""
-        s = np.zeros(self.n_bus, dtype=complex)
+        return _read_only(self._minus_loads(np.zeros((len(self.fixed_loads), 2))))
+
+    def _minus_loads(self, delta) -> np.ndarray:
+        """The non-controllable units' injections less each fixed load moved by (dp, dq).
+
+        Loads are subtracted one by one in declaration order, as a grid
+        built with the moved loads sums them.
+        """
+        units, buses, loads = self._injection_parts
+        delta = np.asarray(delta, dtype=float)
+        if delta.shape != loads.shape:
+            raise ValueError(f"load delta has shape {delta.shape}, expected {loads.shape}")
+        pq = loads + delta
+        s = units.copy()
+        np.subtract.at(s, buses, pq[:, 0] + 1j * pq[:, 1])
+        return s
+
+    @cached_property
+    def _injection_parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Non-controllable units' injection per bus; each fixed load's bus and (p, q)."""
+        units = np.zeros(self.n_bus, dtype=complex)
         for fu in self.flex_units:
             if not fu.controllable:
-                s[self.bus_index[fu.bus]] += fu.p + 1j * fu.q
-        for ld in self.fixed_loads:
-            s[self.bus_index[ld.bus]] -= ld.p + 1j * ld.q
-        return _read_only(s)
+                units[self.bus_index[fu.bus]] += fu.p + 1j * fu.q
+        buses = np.array([self.bus_index[ld.bus] for ld in self.fixed_loads], dtype=int)
+        loads = np.array([(ld.p, ld.q) for ld in self.fixed_loads], dtype=float).reshape(-1, 2)
+        return _read_only(units), _read_only(buses), _read_only(loads)
 
     # ---- network matrices ------------------------------------------------
 
@@ -262,35 +289,9 @@ class GridModel:
         return _read_only(self.ybus[np.ix_(pq, pq)])
 
 
-#: Cached properties that depend only on topology, impedances and limits,
-#: never on set points or load values.  Grids made by derive_injections
-#: share them with the grid they came from.
-_STATIC = (
-    "bus_index", "branch_index", "slack_index", "pq_indices", "pcc_index", "ctrl_indices",
-    "ctrl_buses", "v_min", "v_max", "s_max", "_control_box", "branch_ends", "branch_admittance",
-    "ybus", "ybus_pq",
-)
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def derive_injections(grid: GridModel, **changes) -> GridModel:
-    """Return ``grid`` with new ``flex_units`` and/or ``fixed_loads``.
-
-    The replacements may change set points and load values only: the
-    static network is computed once on ``grid`` and shared, not rebuilt.
-    """
-    if not set(changes) <= {"flex_units", "fixed_loads"}:
-        raise ValueError(f"only injections may change, got {sorted(changes)}")
-    derived = replace(grid, **changes)
-    for name in _STATIC:
-        # cached_property reads the instance dict first, so this is the
-        # value every later access returns.
-        derived.__dict__[name] = getattr(grid, name)
-    return derived
 
 
 def control_labels(grid: GridModel) -> tuple[str, ...]:
@@ -568,12 +569,12 @@ def clip_control(grid: GridModel, u: np.ndarray) -> tuple[np.ndarray, tuple[Clip
 def apply_control(grid: GridModel, u: np.ndarray) -> GridModel:
     """Return a grid whose controllable-unit set points equal u (clipped to bounds).
 
-    Topology, limits, and fixed loads are untouched; the result shares the
-    static network of ``grid`` (see :func:`derive_injections`).
+    Topology, limits, and fixed loads are untouched.  No loop builds one:
+    ``solve_power_flow(grid, control=u)`` solves the same injections.
     """
     clipped, _ = clip_control(grid, u)
     units = list(grid.flex_units)
     j = grid.n_ctrl
     for col, idx in enumerate(grid.ctrl_indices):
         units[idx] = replace(units[idx], p=float(clipped[col]), q=float(clipped[col + j]))
-    return derive_injections(grid, flex_units=tuple(units))
+    return replace(grid, flex_units=tuple(units))

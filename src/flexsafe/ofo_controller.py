@@ -72,9 +72,13 @@ class ControllerConfig:
 
 
 class NoiseModel(Protocol):
-    """Disturbance hooks the closed loop consults once per iteration."""
+    """Disturbance hooks the closed loop consults once per iteration.
 
-    def perturb_grid(self, grid: GridModel, k: int) -> GridModel: ...
+    ``perturb_grid`` returns iteration k's (n_loads, 2) array of (dp, dq)
+    added to the grid's fixed loads, or None to leave them as they are.
+    """
+
+    def perturb_grid(self, grid: GridModel, k: int) -> np.ndarray | None: ...
 
     def measurement_noise(self, k: int) -> MeasurementNoise | None: ...
 
@@ -215,8 +219,8 @@ def closed_loop_step(
     rather than taking an unreliable direction.
     """
     u = np.asarray(u, dtype=float)
-    plant = noise.perturb_grid(grid, k) if noise is not None else grid
-    state = solve_power_flow(plant, initial=initial, control=u)
+    load_delta = noise.perturb_grid(grid, k) if noise is not None else None
+    state = solve_power_flow(grid, initial=initial, control=u, load_delta=load_delta)
     if not state.converged:
         raise PowerFlowError(
             f"plant power flow diverged at iteration {k} (mismatch {state.mismatch:.3e})"

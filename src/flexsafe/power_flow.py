@@ -154,13 +154,14 @@ def solve_power_flow(
     tol: float = TOL_PF,
     max_iter: int = MAX_ITER_PF,
     control: np.ndarray | None = None,
+    load_delta: np.ndarray | None = None,
 ) -> SystemState:
     """Newton-Raphson fixed point of the nodal power balances.
 
     Starts flat (1.0 p.u., zero angle) unless ``initial`` gives a state to
-    start from, such as the previous closed-loop step's.  With ``control``,
-    solves the grid as ``apply_control(grid, control)`` would give it (see
-    GridModel.bus_injections), without deriving that grid.  Returns a state
+    start from, such as the previous closed-loop step's.  ``control`` and
+    ``load_delta`` change the injections on the grid's own network, with
+    no new grid built (see GridModel.bus_injections).  Returns a state
     with converged=False (never raises) when the iteration cap is hit;
     raises SingularJacobianError if the linearization degenerates.
     """
@@ -168,7 +169,7 @@ def solve_power_flow(
     slack = grid.slack_index
     pq = grid.pq_indices
     npq = pq.size
-    s_spec = grid.bus_injections(control)
+    s_spec = grid.bus_injections(control, load_delta)
     ybus = grid.ybus
     ybus_pq = grid.ybus_pq
 

@@ -182,17 +182,11 @@ class KKTReport:
 
     stationarity: float
     primal_feasibility: float
-    dual_feasibility: float
     complementarity: float
 
     @property
     def residual(self) -> float:
-        return max(
-            self.stationarity,
-            self.primal_feasibility,
-            self.dual_feasibility,
-            self.complementarity,
-        )
+        return max(self.stationarity, self.primal_feasibility, self.complementarity)
 
 
 def _projection_step(c_all: np.ndarray, gram: np.ndarray, active: list[int], p: int):
@@ -287,7 +281,8 @@ def check_kkt(problem: QuadraticProgram, w: np.ndarray) -> KKTReport:
 
     Multipliers are recovered by non-negative least squares on the gradients
     of near-active rows (slack <= 1e-6), so the check shares no state
-    with the solver's own active-set bookkeeping.  Stationarity is measured
+    with the solver's own active-set bookkeeping, and dual feasibility
+    holds by construction rather than being scored.  Stationarity is measured
     from the returned multipliers, so an NNLS stopped at its iteration cap
     can only overstate the residual.
     """
@@ -298,7 +293,6 @@ def check_kkt(problem: QuadraticProgram, w: np.ndarray) -> KKTReport:
         return KKTReport(
             stationarity=float(np.linalg.norm(grad)),
             primal_feasibility=0.0,
-            dual_feasibility=0.0,
             complementarity=0.0,
         )
     slack = c_all @ w - b_all
@@ -316,7 +310,6 @@ def check_kkt(problem: QuadraticProgram, w: np.ndarray) -> KKTReport:
     return KKTReport(
         stationarity=stationarity,
         primal_feasibility=primal,
-        dual_feasibility=0.0,
         complementarity=complementarity,
     )
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from flexsafe.grid_model import GridError, GridModel, load_grid
+from flexsafe.grid_model import GridError, GridModel, clip_control, load_grid
 from flexsafe.ofo_controller import ControllerConfig, SetPoint
 from flexsafe.for_region import SweepConfig
 from flexsafe.uncertainty_mc import NoiseConfig, check_load_channel
@@ -199,6 +199,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             raise ScenarioError(
                 f"u0 has {u0.size} entries; the grid has {2 * grid.n_ctrl} controls"
             )
+        _, outside = clip_control(grid, u0)
+        if outside:
+            where = ", ".join(f"{e.field}:{e.unit} = {e.requested!r}" for e in outside)
+            raise ScenarioError(f"u0 leaves the unit boxes at {where}")
 
     noise = _parse_noise(doc.get("noise"))
     if noise is not None:

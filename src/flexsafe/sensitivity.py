@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from flexsafe.grid_model import GridModel, control_labels
+from flexsafe.grid_model import GridModel, clip_control, control_labels
 from flexsafe.power_flow import (
     PowerFlowError,
     SingularJacobianError,
@@ -129,10 +129,12 @@ def compute_sensitivity(grid: GridModel, u0: np.ndarray | None = None) -> Sensit
 
     The map is computed once at the initial operating point and held
     constant by the controller; no re-linearization happens during a run.
+    A u0 outside the unit boxes is clipped to them, and the map records the
+    clipped control it linearized at.
     """
     if u0 is None:
         u0 = grid.control_vector()
-    u0 = np.asarray(u0, dtype=float)
+    u0, _ = clip_control(grid, u0)
     state = solve_power_flow(grid, tol=1e-10, max_iter=40, control=u0)
     if not state.converged:
         raise PowerFlowError(
@@ -162,7 +164,7 @@ def compute_sensitivity(grid: GridModel, u0: np.ndarray | None = None) -> Sensit
     matrix = _measurement_jacobian(grid, voltage, pq) @ dx_du
     return SensitivityMap(
         matrix=matrix,
-        u0=u0.copy(),
+        u0=u0,
         state=state,
         row_labels=measurement_labels(grid),
         col_labels=control_labels(grid),

@@ -19,14 +19,14 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from flexsafe.grid_model import LOAD_CLASSES, GridModel, derive_injections
+from flexsafe.grid_model import LOAD_CLASSES, GridModel
 from flexsafe.power_flow import MeasurementNoise
 from flexsafe.ofo_controller import ControllerConfig, SetPoint, Trajectory, run_schedule
 from flexsafe.sensitivity import SensitivityMap, compute_sensitivity, perturb_sensitivity
@@ -142,14 +142,6 @@ def sample_load_noise(
     return rng.normal(0.0, 1.0, size=(n_loads, 2)) * sigma[:, None]
 
 
-def _with_load_delta(grid: GridModel, delta: np.ndarray) -> GridModel:
-    loads = tuple(
-        replace(ld, p=ld.p + float(dp), q=ld.q + float(dq))
-        for ld, (dp, dq) in zip(grid.fixed_loads, delta)
-    )
-    return derive_injections(grid, fixed_loads=loads)
-
-
 @dataclass(frozen=True)
 class TrialNoise:
     """NoiseModel for one Monte Carlo trial; all streams derive from its index."""
@@ -157,11 +149,12 @@ class TrialNoise:
     config: NoiseConfig
     trial: int
 
-    def perturb_grid(self, grid: GridModel, k: int) -> GridModel:
+    def perturb_grid(self, grid: GridModel, k: int) -> np.ndarray | None:
+        """Iteration k's load perturbation (see sample_load_noise); None with the channel off."""
         if not self.config.load_enabled:
-            return grid
+            return None
         rng = channel_stream(self.config.seed, self.trial, CHANNEL_LOAD, k)
-        return _with_load_delta(grid, sample_load_noise(grid, self.config, rng))
+        return sample_load_noise(grid, self.config, rng)
 
     def measurement_noise(self, k: int) -> MeasurementNoise | None:
         if self.config.meas_bounds is None:

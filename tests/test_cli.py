@@ -229,6 +229,7 @@ NAN = float("nan")
         ({"out_dir": 5}, "out_dir"),
         ({"u0": [NAN] * 4}, "u0"),
         ({"schedule": [[True, 0]]}, "schedule"),
+        ({"u0": [1.4, 0.0, 0.0, 0.0]}, "u0"),
     ],
 )
 def test_malformed_inputs_exit_1(workdir, capsys, command, change, key):

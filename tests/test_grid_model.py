@@ -11,7 +11,6 @@ from flexsafe.grid_model import (
     apply_control,
     clip_control,
     control_labels,
-    derive_injections,
     load_grid,
     save_grid,
     validate,
@@ -131,19 +130,6 @@ def test_apply_control_is_pure(ring4):
     assert np.allclose(g2.control_vector(), u)
     assert np.allclose(ring4.control_vector(), 0.0)
     assert g2.buses is ring4.buses  # topology shared, units replaced
-
-
-def test_derived_grids_share_the_static_network(ring4):
-    g2 = apply_control(ring4, np.array([0.1, -0.2, 0.05, 0.0]))
-    assert g2.ybus is ring4.ybus
-    assert g2.ybus_pq is ring4.ybus_pq
-    assert g2.branch_admittance is ring4.branch_admittance
-    assert g2.pq_indices is ring4.pq_indices
-    assert g2.control_bounds() is ring4.control_bounds()
-    assert apply_control(g2, np.zeros(4)).ybus is ring4.ybus
-    assert not np.array_equal(g2.bus_injections(), ring4.bus_injections())
-    with pytest.raises(ValueError):
-        derive_injections(ring4, buses=ring4.buses)
 
 
 def test_clip_control(ring4):

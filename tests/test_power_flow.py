@@ -17,6 +17,7 @@ from flexsafe.power_flow import (
     solve_power_flow,
     steady_state_map,
 )
+from flexsafe.uncertainty_mc import NoiseConfig, TrialNoise
 
 from conftest import ALL_GRIDS, grid_path, twobus_closed_form
 
@@ -174,6 +175,34 @@ def test_control_vector_solve_matches_applied_grid(name):
                 assert np.max(np.abs(getattr(direct, field) - getattr(applied, field))) <= 1e-12
             assert abs(direct.p_pcc - applied.p_pcc) <= 1e-12
             assert abs(direct.q_pcc - applied.q_pcc) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ("ring4", "synth30"))
+def test_load_delta_solve_matches_grid_with_moved_loads(name):
+    """Solving with a load delta is solving a grid built with the moved loads, bit for bit."""
+    grid = load_grid(grid_path(name))
+    sigma = {"household": 0.02, "industry": 0.02, "commercial": 0.02}
+    noise = TrialNoise(NoiseConfig(seed=5, load_sigma=sigma), trial=3)
+    lower, upper = grid.control_bounds()
+    rng = np.random.default_rng(23)
+    for k in range(4):
+        delta = noise.perturb_grid(grid, k)
+        loads = tuple(
+            replace(ld, p=ld.p + float(dp), q=ld.q + float(dq))
+            for ld, (dp, dq) in zip(grid.fixed_loads, delta)
+        )
+        u = rng.uniform(lower, upper)
+        built = solve_power_flow(apply_control(replace(grid, fixed_loads=loads), u))
+        direct = solve_power_flow(grid, control=u, load_delta=delta)
+        assert built.converged and direct.iterations == built.iterations
+        for field in ("v", "theta"):
+            assert np.array_equal(getattr(direct, field), getattr(built, field))
+        assert (direct.p_pcc, direct.q_pcc) == (built.p_pcc, built.q_pcc)
+
+
+def test_load_delta_shape_checked(ring4):
+    with pytest.raises(ValueError, match="load delta has shape"):
+        solve_power_flow(ring4, load_delta=np.zeros((len(ring4.fixed_loads) + 1, 2)))
 
 
 def test_control_vector_length_checked(ring4):

@@ -218,9 +218,7 @@ def test_check_kkt_reports_primal_violation():
 
 
 def test_kkt_report_residual_is_max():
-    report = KKTReport(
-        stationarity=1e-9, primal_feasibility=3e-7, dual_feasibility=0.0, complementarity=2e-8
-    )
+    report = KKTReport(stationarity=1e-9, primal_feasibility=3e-7, complementarity=2e-8)
     assert report.residual == 3e-7
 
 

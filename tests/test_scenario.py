@@ -104,6 +104,7 @@ def test_grid_path_relative_to_scenario(scenario_dir):
         (lambda d: d.update(controller={}), "alpha"),
         (lambda d: d.update(controller={"alpha": 0.1, "beta": 2}), "unknown controller keys"),
         (lambda d: d.update(u0=[0.1, 0.2]), "controls"),
+        (lambda d: d.update(u0=[0.1, 0.0, 0.0, -0.5]), "u0 leaves the unit boxes at q:g4 = -0.5"),
         (lambda d: d.update(noise={"load_sigma": {"household": 0.1}}), "seed"),
         (lambda d: d.update(noise={"seed": 1, "fuzz": 2}), "unknown noise keys"),
         (lambda d: d.update({"for": {"n_angles": 2}}), "for block"),

@@ -68,6 +68,16 @@ def test_non_default_operating_point(ring4):
     assert not np.allclose(analytic.matrix, base.matrix, atol=1e-6)
 
 
+def test_records_the_clipped_linearization_point(ring4):
+    """A u0 beyond the boxes is linearized at the box edge, and says so."""
+    _, upper = ring4.control_bounds()
+    outside = compute_sensitivity(ring4, u0=upper + 1.0)
+    at_edge = compute_sensitivity(ring4, u0=upper)
+    assert np.array_equal(outside.u0, upper)
+    assert np.array_equal(outside.matrix, at_edge.matrix)
+    assert np.array_equal(outside.state.v, at_edge.state.v)
+
+
 def test_oracle_refuses_stencil_across_bounds(ring4):
     lower, _ = ring4.control_bounds()
     with pytest.raises(ValueError):

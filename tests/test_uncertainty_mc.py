@@ -2,12 +2,14 @@
 
 import csv
 from dataclasses import FrozenInstanceError
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from flexsafe.for_region import FORPolygon
-from flexsafe.ofo_controller import ControllerConfig, SetPoint
+from flexsafe.grid_model import GridModel, load_grid
+from flexsafe.ofo_controller import ControllerConfig, SetPoint, run_schedule
 from flexsafe.sensitivity import compute_sensitivity
 from flexsafe.uncertainty_mc import (
     CHANNEL_LOAD,
@@ -23,7 +25,7 @@ from flexsafe.uncertainty_mc import (
     sample_load_noise,
 )
 
-from conftest import make_trajectory
+from conftest import grid_path, make_trajectory
 
 
 def test_channel_streams_are_keyed_not_sequential():
@@ -95,20 +97,49 @@ def test_trial_noise_is_frozen_and_deterministic(ring4):
     tn = TrialNoise(config, trial=2)
     with pytest.raises(FrozenInstanceError):
         tn.trial = 5
-    g1 = tn.perturb_grid(ring4, k=0)
-    g2 = TrialNoise(config, trial=2).perturb_grid(ring4, k=0)
-    assert g1 == g2
+    d1 = tn.perturb_grid(ring4, k=0)
+    d2 = TrialNoise(config, trial=2).perturb_grid(ring4, k=0)
+    assert d1.shape == (len(ring4.fixed_loads), 2)
+    assert np.array_equal(d1, d2)
     # Load noise is redrawn every iteration.
-    g3 = tn.perturb_grid(ring4, k=1)
-    assert g3 != g1
+    d3 = tn.perturb_grid(ring4, k=1)
+    assert not np.array_equal(d3, d1)
+    # With the load channel off there is nothing to add.
+    assert TrialNoise(NoiseConfig(seed=3), trial=2).perturb_grid(ring4, k=0) is None
 
 
-def test_perturbed_grid_shares_the_static_network(ring4):
-    sigma = {"household": 0.05, "industry": 0.05, "commercial": 0.05}
-    noise = TrialNoise(NoiseConfig(seed=3, load_sigma=sigma), trial=0)
-    plant = noise.perturb_grid(ring4, k=2)
-    assert plant.ybus is ring4.ybus
-    assert plant.fixed_loads != ring4.fixed_loads
+def test_noisy_schedule_builds_no_grid(monkeypatch):
+    """All three channels reach the plant as data: no GridModel and no Ybus per step."""
+    grid = load_grid(grid_path("ring4"))
+    smap = compute_sensitivity(grid)  # builds the one Ybus of the run
+    builds, made = [], []
+    ybus = vars(GridModel)["ybus"].func
+
+    def counting_ybus(g):
+        builds.append(g)
+        return ybus(g)
+
+    counted = cached_property(counting_ybus)
+    counted.__set_name__(GridModel, "ybus")
+    monkeypatch.setattr(GridModel, "ybus", counted)
+    init = GridModel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GridModel, "__init__", counting_init)
+    sigma = {"household": 0.02, "industry": 0.02, "commercial": 0.02}
+    config = NoiseConfig(
+        seed=4, load_sigma=sigma, meas_bounds=(-0.01, 0.01), sens_bounds=(-0.05, 0.05)
+    )
+    noise = TrialNoise(config, trial=1)
+    controller = ControllerConfig(alpha=0.1, max_iterations=30)
+    traj = run_schedule(
+        grid, noise.sensitivity(smap), [SetPoint(0.2, 0.1)], controller, noise=noise
+    )
+    assert len(traj.steps) > 5 and not traj.aborted
+    assert builds == [] and made == []
 
 
 def test_sensitivity_perturbation_fixed_within_trial(ring4):
