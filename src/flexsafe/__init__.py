@@ -8,7 +8,6 @@ from flexsafe.grid_model import (
     apply_control,
     clip_control,
     load_grid,
-    save_grid,
     validate,
 )
 from flexsafe.power_flow import (

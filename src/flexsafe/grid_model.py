@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import numpy as np
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 LOAD_CLASSES = ("household", "industry", "commercial")
 
@@ -303,29 +306,57 @@ def control_labels(grid: GridModel) -> tuple[str, ...]:
 # ---- file format ---------------------------------------------------------
 
 
-def _load_schema() -> dict:
-    text = resources.files("flexsafe.schemas").joinpath("grid.schema.json").read_text()
-    return json.loads(text)
+def _finite(kind: str):
+    """Draft 2020-12's check of JSON type ``kind`` that also wants a float-range value."""
+    base = Draft202012Validator.TYPE_CHECKER
+    return lambda checker, x: base.is_type(x, kind) and abs(x) <= sys.float_info.max
+
+
+#: Draft 2020-12 with finite numbers: JSON parsing lets NaN, Infinity, 1e400
+#: and integers beyond the float range through, and no input key means them.
+_FiniteValidator = jsonschema.validators.extend(
+    Draft202012Validator,
+    type_checker=Draft202012Validator.TYPE_CHECKER.redefine_many(
+        {"number": _finite("number"), "integer": _finite("integer")}
+    ),
+)
+
+
+@cache
+def _validator(schema: str):
+    text = resources.files("flexsafe.schemas").joinpath(f"{schema}.schema.json").read_text()
+    return _FiniteValidator(json.loads(text))
+
+
+def load_document(path: Path, schema: str, error: type[Exception]) -> dict:
+    """The JSON file at ``path``, checked against ``schemas/<schema>.schema.json``.
+
+    Raises ``error`` if the file cannot be read, is not JSON or breaks the
+    schema; a schema message names the key path, e.g. ``mc/n_trials``.
+    """
+    what = f"{schema} file {path}"
+    try:
+        doc = json.loads(path.read_text())
+    except OSError as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also bytes not UTF-8, or nesting too deep
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+    problem = best_match(_validator(schema).iter_errors(doc))
+    if problem is not None:
+        where = "/".join(str(p) for p in problem.absolute_path) or "<root>"
+        raise error(f"{what} violates schema at {where}: {problem.message}")
+    return doc
 
 
 def load_grid(path: str | Path) -> GridModel:
     """Load and validate a grid file; returns a per-unit GridModel.
 
-    Raises GridLoadError on parse/schema problems and GridValidationError
-    naming the first violated structural invariant.
+    Raises GridLoadError if the file cannot be read or parsed or breaks
+    ``schemas/grid.schema.json`` (NaN, Infinity and numbers beyond the
+    float range included), and GridValidationError naming the first
+    violated structural invariant.
     """
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise GridLoadError(f"cannot read grid file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise GridLoadError(f"malformed grid file {path}: {exc}") from exc
-    try:
-        jsonschema.validate(doc, _load_schema())
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise GridLoadError(f"grid file {path} violates schema at {where}: {exc.message}") from exc
+    doc = load_document(Path(path), "grid", GridLoadError)
 
     s_base = float(doc["s_base_mva"])
     buses = tuple(
@@ -387,62 +418,6 @@ def load_grid(path: str | Path) -> GridModel:
     if findings:
         raise GridValidationError(findings)
     return grid
-
-
-def save_grid(grid: GridModel, path: str | Path) -> None:
-    """Write a grid back to the documented JSON format (physical units)."""
-    doc = {
-        "s_base_mva": grid.s_base,
-        "pcc_branch": grid.pcc,
-        "buses": [
-            {
-                "id": b.id,
-                "type": b.bus_type,
-                "v_kv": b.v_kv,
-                "v_min_pu": b.v_min,
-                "v_max_pu": b.v_max,
-            }
-            for b in grid.buses
-        ],
-        "branches": [
-            {
-                "id": b.id,
-                "from": b.from_bus,
-                "to": b.to_bus,
-                "r_pu": b.r,
-                "x_pu": b.x,
-                "b_pu": b.b,
-                "tap": b.tap,
-                "s_max_mva": None if math.isinf(b.s_max) else b.s_max * grid.s_base,
-            }
-            for b in grid.branches
-        ],
-        "flex_units": [
-            {
-                "id": u.id,
-                "bus": u.bus,
-                "p_min_mw": u.p_min * grid.s_base,
-                "p_max_mw": u.p_max * grid.s_base,
-                "q_min_mvar": u.q_min * grid.s_base,
-                "q_max_mvar": u.q_max * grid.s_base,
-                "controllable": u.controllable,
-                "p_mw": u.p * grid.s_base,
-                "q_mvar": u.q * grid.s_base,
-            }
-            for u in grid.flex_units
-        ],
-        "loads": [
-            {
-                "id": ld.id,
-                "bus": ld.bus,
-                "p_mw": ld.p * grid.s_base,
-                "q_mvar": ld.q * grid.s_base,
-                "load_class": ld.load_class,
-            }
-            for ld in grid.fixed_loads
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 # ---- validation ------------------------------------------------------------

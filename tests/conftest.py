@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -30,6 +31,38 @@ def pytest_terminal_summary(terminalreporter):
 
 def grid_path(name: str) -> Path:
     return FIXTURES / f"{name}.json"
+
+
+# Odd values, or deletion, set at one key path of an input document by the
+# fuzz tests of scenario and grid files.
+ODD_VALUES = [None, True, 2.5, float("nan"), float("inf"), -float("inf"), -1, "x", [], {}, [0.1]]
+DELETE = object()
+
+
+def key_paths(node, prefix=()):
+    """Every key and list position under node, as a path of keys and indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
+def mutated(doc, path, value):
+    """A copy of doc with value at path (deleted for DELETE); None if a list item is deleted."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        if not isinstance(parent, dict):
+            return None
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
 
 
 @pytest.fixture(scope="session")

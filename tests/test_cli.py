@@ -96,6 +96,20 @@ def test_broken_grid_exits_1(workdir, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "unit, index, key, value",
+    [("branches", 1, "r_pu", float("nan")), ("flex_units", 0, "p_max_mw", float("inf"))],
+)
+def test_non_finite_grid_number_exits_1(workdir, capsys, unit, index, key, value):
+    doc = json.loads((workdir / "ring4.json").read_text())
+    doc[unit][index][key] = value
+    (workdir / "ring4.json").write_text(json.dumps(doc))
+    path = write_scenario(workdir, base_doc())
+    assert main(["for", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{unit}/{index}/{key}" in err and "Traceback" not in err
+
+
 def test_unsolvable_grid_exits_2(workdir, capsys):
     # Valid grid file, but the load is far past the deliverable power:
     # the base power flow diverges and the study cannot start.
@@ -208,7 +222,7 @@ def test_bad_trial_count_exits_1(workdir, capsys, n_trials):
 def test_boolean_iteration_cap_exits_1(workdir, capsys):
     path = write_scenario(workdir, base_doc(controller={"alpha": 0.1, "max_iterations": True}))
     assert main(["run", str(path)]) == 1
-    assert "'max_iterations' must be an integer" in capsys.readouterr().err
+    assert "controller/max_iterations: True is not of type 'integer'" in capsys.readouterr().err
 
 
 NAN = float("nan")

@@ -1,22 +1,28 @@
 """Grid data model: loading, validation, per-unit conversion, control wiring."""
 
 import json
+import math
+from dataclasses import fields
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
 from flexsafe.grid_model import (
+    GridError,
     GridLoadError,
     GridValidationError,
     apply_control,
     clip_control,
     control_labels,
     load_grid,
-    save_grid,
     validate,
 )
 
-from conftest import ALL_GRIDS, grid_path
+from conftest import ALL_GRIDS, DELETE, ODD_VALUES, grid_path, key_paths, mutated
 
 
 @pytest.mark.parametrize("name", ALL_GRIDS)
@@ -35,14 +41,6 @@ def test_per_unit_conversion(twobus):
     assert load.q == raw["loads"][0]["q_mvar"] / raw["s_base_mva"]
     unit = twobus.flex_units[0]
     assert unit.p_max == raw["flex_units"][0]["p_max_mw"] / raw["s_base_mva"]
-
-
-@pytest.mark.parametrize("name", ALL_GRIDS)
-def test_save_load_round_trip(name, tmp_path):
-    grid = load_grid(grid_path(name))
-    out = tmp_path / "grid.json"
-    save_grid(grid, out)
-    assert load_grid(out) == grid
 
 
 def test_scaling_invariance(tmp_path):
@@ -81,6 +79,62 @@ def test_schema_rejects_malformed(tmp_path):
     bad.write_text("not json {")
     with pytest.raises(GridLoadError):
         load_grid(bad)
+
+    bad.write_bytes(b"\xff{}")  # not UTF-8
+    with pytest.raises(GridLoadError, match="is not valid JSON"):
+        load_grid(bad)
+
+    # JSON parsing reads NaN, Infinity and 1e400 as floats; no grid number may be one.
+    for unit, key, value in [
+        ("branches", "r_pu", float("nan")),
+        ("flex_units", "p_max_mw", float("inf")),
+        ("flex_units", "p_max_mw", 10**400),
+    ]:
+        raw = json.loads(grid_path("ring4").read_text())
+        index = 1 if unit == "branches" else 0
+        raw[unit][index][key] = value
+        bad.write_text(json.dumps(raw))
+        with pytest.raises(GridLoadError, match=f"violates schema at {unit}/{index}/{key}:"):
+            load_grid(bad)
+
+
+@pytest.mark.parametrize("name", ["grid", "scenario"])
+def test_packaged_schemas_are_valid(name):
+    text = resources.files("flexsafe.schemas").joinpath(f"{name}.schema.json").read_text()
+    Draft202012Validator.check_schema(json.loads(text))
+
+
+GRID_DOCS = [json.loads(grid_path(name).read_text()) for name in ALL_GRIDS]
+
+
+@st.composite
+def mutated_grids(draw):
+    base = draw(st.sampled_from(GRID_DOCS))
+    path = draw(st.sampled_from(list(key_paths(base))))
+    doc = mutated(base, path, draw(st.sampled_from([*ODD_VALUES, DELETE])))
+    return base if doc is None else doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "grid.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=mutated_grids())
+def test_mutated_grid_loads_or_raises_grid_error(fuzz_file, doc):
+    """One odd key or leaf gives a GridError or a model whose numbers are finite."""
+    fuzz_file.write_text(json.dumps(doc))
+    try:
+        grid = load_grid(fuzz_file)
+    except GridError:
+        return
+    assert math.isfinite(grid.s_base)
+    for item in (*grid.buses, *grid.branches, *grid.flex_units, *grid.fixed_loads):
+        for field in fields(item):
+            x = getattr(item, field.name)
+            unlimited = field.name == "s_max" and x == math.inf
+            assert not isinstance(x, float) or unlimited or math.isfinite(x), (item, field.name)
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from flexsafe.scenario import (
     load_scenario,
 )
 
-from conftest import grid_path
+from conftest import DELETE, ODD_VALUES, grid_path, key_paths, mutated
 
 
 @pytest.fixture()
@@ -93,45 +93,126 @@ def test_grid_path_relative_to_scenario(scenario_dir):
     assert sc.grid_path == scenario_dir / "ring4.json"
 
 
+def _schema(where: str, message: str) -> str:
+    return f"violates schema at {where}: {message}"
+
+
+def _unexpected(where: str, key: str) -> str:
+    return _schema(where, f"Additional properties are not allowed ('{key}' was unexpected)")
+
+
+# (name, mutation, fragment of the error message).  The test id is
+# "<lambda>-" + name, so ids stay fixed when a message is reworded.
+MALFORMED = [
+    ("unknown keys", lambda d: d.update(surprise=1), _unexpected("<root>", "surprise")),
+    (
+        "missing required key 'grid'",
+        lambda d: d.pop("grid"),
+        _schema("<root>", "'grid' is a required property"),
+    ),
+    (
+        "missing required key 'schedule'",
+        lambda d: d.pop("schedule"),
+        _schema("<root>", "'schedule' is a required property"),
+    ),
+    ("schedule", lambda d: d.update(schedule=[]), _schema("schedule", "[] should be non-empty")),
+    ("pair", lambda d: d.update(schedule=[[0.1]]), _schema("schedule/0", "[0.1] is too short")),
+    (
+        "alpha",
+        lambda d: d.update(controller={}),
+        _schema("controller", "'alpha' is a required property"),
+    ),
+    (
+        "unknown controller keys",
+        lambda d: d.update(controller={"alpha": 0.1, "beta": 2}),
+        _unexpected("controller", "beta"),
+    ),
+    ("controls", lambda d: d.update(u0=[0.1, 0.2]), "controls"),
+    (
+        "u0 leaves the unit boxes at q:g4 = -0.5",
+        lambda d: d.update(u0=[0.1, 0.0, 0.0, -0.5]),
+        "u0 leaves the unit boxes at q:g4 = -0.5",
+    ),
+    (
+        "seed",
+        lambda d: d.update(noise={"load_sigma": {"household": 0.1}}),
+        _schema("noise", "'seed' is a required property"),
+    ),
+    (
+        "unknown noise keys",
+        lambda d: d.update(noise={"seed": 1, "fuzz": 2}),
+        _unexpected("noise", "fuzz"),
+    ),
+    ("for block", lambda d: d.update({"for": {"n_angles": 2}}), "for block"),
+    ("unknown for keys", lambda d: d.update({"for": {"rays": 9}}), _unexpected("for", "rays")),
+    (
+        "positive",
+        lambda d: d.update(mc={"n_trials": 0}),
+        _schema("mc/n_trials", "0 is less than the minimum of 1"),
+    ),
+    (
+        "'n_trials' must be an integer",
+        lambda d: d.update(mc={"n_trials": None}),
+        _schema("mc/n_trials", "None is not of type 'integer'"),
+    ),
+    (
+        "'n_trials' must be an integer",
+        lambda d: d.update(mc={"n_trials": "abc"}),
+        _schema("mc/n_trials", "'abc' is not of type 'integer'"),
+    ),
+    (
+        "'n_trials' must be an integer, got 2.5",
+        lambda d: d.update(mc={"n_trials": 2.5}),
+        _schema("mc/n_trials", "2.5 is not of type 'integer'"),
+    ),
+    (
+        "'max_iterations' must be an integer, got True",
+        lambda d: d.update(controller={"alpha": 0.1, "max_iterations": True}),
+        _schema("controller/max_iterations", "True is not of type 'integer'"),
+    ),
+    (
+        "'alpha' must be a number",
+        lambda d: d.update(controller={"alpha": True}),
+        _schema("controller/alpha", "True is not of type 'number'"),
+    ),
+    (
+        "'alpha' must be a number",
+        lambda d: d.update(controller={"alpha": float("nan")}),
+        _schema("controller/alpha", "nan is not of type 'number'"),
+    ),
+    (
+        "'stall_tol' must be a number",
+        lambda d: d.update({"for": {"stall_tol": float("inf")}}),
+        _schema("for/stall_tol", "inf is not of type 'number'"),
+    ),
+    (
+        "'patience' must be an integer",
+        lambda d: d.update({"for": {"patience": 1e400}}),
+        _schema("for/patience", "inf is not of type 'integer'"),
+    ),
+    (
+        "'histogram_iterations' must be an integer, got 2.5",
+        lambda d: d.update(mc={"histogram_iterations": [1, 2.5]}),
+        _schema("mc/histogram_iterations/1", "2.5 is not of type 'integer'"),
+    ),
+    (
+        "'histogram_iterations' must be a list of integers",
+        lambda d: d.update(mc={"histogram_iterations": "12"}),
+        _schema("mc/histogram_iterations", "'12' is not of type 'array'"),
+    ),
+    (
+        "'seed' must be non-negative",
+        lambda d: d.update(noise={"seed": -1}),
+        _schema("noise/seed", "-1 is less than the minimum of 0"),
+    ),
+    ("unknown mc keys", lambda d: d.update(mc={"walks": 1}), _unexpected("mc", "walks")),
+]
+
+
 @pytest.mark.parametrize(
     "mutate, fragment",
-    [
-        (lambda d: d.update(surprise=1), "unknown keys"),
-        (lambda d: d.pop("grid"), "missing required key 'grid'"),
-        (lambda d: d.pop("schedule"), "missing required key 'schedule'"),
-        (lambda d: d.update(schedule=[]), "schedule"),
-        (lambda d: d.update(schedule=[[0.1]]), "pair"),
-        (lambda d: d.update(controller={}), "alpha"),
-        (lambda d: d.update(controller={"alpha": 0.1, "beta": 2}), "unknown controller keys"),
-        (lambda d: d.update(u0=[0.1, 0.2]), "controls"),
-        (lambda d: d.update(u0=[0.1, 0.0, 0.0, -0.5]), "u0 leaves the unit boxes at q:g4 = -0.5"),
-        (lambda d: d.update(noise={"load_sigma": {"household": 0.1}}), "seed"),
-        (lambda d: d.update(noise={"seed": 1, "fuzz": 2}), "unknown noise keys"),
-        (lambda d: d.update({"for": {"n_angles": 2}}), "for block"),
-        (lambda d: d.update({"for": {"rays": 9}}), "unknown for keys"),
-        (lambda d: d.update(mc={"n_trials": 0}), "positive"),
-        (lambda d: d.update(mc={"n_trials": None}), "'n_trials' must be an integer"),
-        (lambda d: d.update(mc={"n_trials": "abc"}), "'n_trials' must be an integer"),
-        (lambda d: d.update(mc={"n_trials": 2.5}), "'n_trials' must be an integer, got 2.5"),
-        (
-            lambda d: d.update(controller={"alpha": 0.1, "max_iterations": True}),
-            "'max_iterations' must be an integer, got True",
-        ),
-        (lambda d: d.update(controller={"alpha": True}), "'alpha' must be a number"),
-        (lambda d: d.update(controller={"alpha": float("nan")}), "'alpha' must be a number"),
-        (lambda d: d.update({"for": {"stall_tol": float("inf")}}), "'stall_tol' must be a number"),
-        (lambda d: d.update({"for": {"patience": 1e400}}), "'patience' must be an integer"),
-        (
-            lambda d: d.update(mc={"histogram_iterations": [1, 2.5]}),
-            "'histogram_iterations' must be an integer, got 2.5",
-        ),
-        (
-            lambda d: d.update(mc={"histogram_iterations": "12"}),
-            "'histogram_iterations' must be a list of integers",
-        ),
-        (lambda d: d.update(noise={"seed": -1}), "'seed' must be non-negative"),
-        (lambda d: d.update(mc={"walks": 1}), "unknown mc keys"),
-    ],
+    [case[1:] for case in MALFORMED],
+    ids=[f"<lambda>-{case[0]}" for case in MALFORMED],
 )
 def test_malformed_scenarios_rejected(scenario_dir, mutate, fragment):
     doc = json.loads(json.dumps(MINIMAL))
@@ -143,10 +224,16 @@ def test_malformed_scenarios_rejected(scenario_dir, mutate, fragment):
 
 
 def test_integral_floats_read_as_integers(scenario_dir):
-    doc = {**MINIMAL, "mc": {"n_trials": 3.0, "histogram_iterations": [2.0]}}
+    doc = {
+        **MINIMAL,
+        "mc": {"n_trials": 3.0, "histogram_iterations": [2.0]},
+        "for": {"gain_scale": 1, "n_angles": 8.0},
+    }
     sc = load_scenario(write_scenario(scenario_dir, doc))
     assert sc.mc_trials == 3 and type(sc.mc_trials) is int
     assert sc.histogram_iterations == (2,)
+    # The region stamp hashes asdict(sc.sweep): its value types are part of it.
+    assert type(sc.sweep.gain_scale) is float and type(sc.sweep.n_angles) is int
 
 
 def test_missing_and_invalid_files(tmp_path):
@@ -156,6 +243,10 @@ def test_missing_and_invalid_files(tmp_path):
     bad.write_text("{ nope")
     with pytest.raises(ScenarioError):
         load_scenario(bad)
+    for text in (b"\xff{}", b"[" * 100_000 + b"]" * 100_000):  # not UTF-8; nested too deep
+        bad.write_bytes(text)
+        with pytest.raises(ScenarioError, match="is not valid JSON"):
+            load_scenario(bad)
     missing_grid = write_scenario(tmp_path, MINIMAL)
     with pytest.raises(ScenarioError):
         load_scenario(missing_grid)  # grid file absent in tmp_path
@@ -194,40 +285,11 @@ FULL = {
 # ring4 has three loads: a covariance over their six (dp, dq) entries.
 COV = [[0.01 * (i == j) for j in range(6)] for i in range(6)]
 WITH_COV = {**FULL, "noise": {"seed": 7, "load_cov": COV}}
-ODD_VALUES = [None, True, 2.5, float("nan"), float("inf"), -float("inf"), -1, "x", [], {}, [0.1]]
-DELETE = object()
-
-
-def _paths(node, prefix=()):
-    """Every key and list position under node, as a path of keys and indices."""
-    if isinstance(node, dict):
-        items = node.items()
-    else:
-        items = enumerate(node) if isinstance(node, list) else ()
-    for key, child in items:
-        yield prefix + (key,)
-        yield from _paths(child, prefix + (key,))
-
-
-def _mutated(doc, path, value):
-    doc = json.loads(json.dumps(doc))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is DELETE:
-        if not isinstance(parent, dict):
-            return None
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
-    return doc
-
-
 @st.composite
 def mutated_scenarios(draw):
     base = draw(st.sampled_from([MINIMAL, FULL, WITH_COV]))
-    path = draw(st.sampled_from(list(_paths(base))))
-    doc = _mutated(base, path, draw(st.sampled_from([*ODD_VALUES, DELETE])))
+    path = draw(st.sampled_from(list(key_paths(base))))
+    doc = mutated(base, path, draw(st.sampled_from([*ODD_VALUES, DELETE])))
     return base if doc is None else doc
 
 
