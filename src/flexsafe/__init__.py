@@ -15,6 +15,7 @@ from flexsafe.power_flow import (
     MeasurementVector,
     PowerFlowError,
     SingularJacobianError,
+    StateStack,
     SystemState,
     limit_violation,
     measure,

@@ -9,6 +9,11 @@ angle, form a star-shaped polygon.
 A sampling oracle provides the independent route: random controls drawn in
 the box, simulated exactly, and filtered by the true limits.  Their PCC
 images must land inside the swept polygon.
+
+Both run as stacks: all rays step together through one stacked step
+kernel, and the oracle's draws are solved a chunk at a time as one stacked
+power flow.  A member's result does not depend on its companions, so each
+vertex and each oracle point is bit for bit what its own solve gives.
 """
 
 from __future__ import annotations
@@ -24,12 +29,18 @@ from flexsafe.grid_model import GridModel, control_labels
 from flexsafe.power_flow import (
     MeasurementVector,
     PowerFlowError,
+    SingularJacobianError,
     SystemState,
     limit_violation,
     solve_power_flow,
 )
-from flexsafe.ofo_controller import closed_loop_step, step_qp_template
+from flexsafe.ofo_controller import OFOStep, closed_loop_step, step_qp_template
 from flexsafe.sensitivity import SensitivityMap, compute_sensitivity
+
+
+#: Controls the sampling oracle solves per stacked power flow: enough to
+#: share the per-call cost, few enough to keep the stack's arrays small.
+ORACLE_CHUNK = 256
 
 
 class FORError(Exception):
@@ -161,61 +172,120 @@ def _binding_labels(
     return tuple(labels)
 
 
-def _push_direction(
-    grid: GridModel, smap: SensitivityMap, theta: float, config: SweepConfig
-) -> tuple[np.ndarray, SystemState]:
-    """Drive the PCC flow outward along the ray at ``theta`` until pinned.
+class _Ray:
+    """One sweep ray's push: its stages' gains, templates and costs, and its progress.
 
     The per-iteration cost -kappa (c . x) + mu (n . x)^2 (c the ray
     direction, n its normal) is minimized with the controller's own
     constrained step; the gain is scaled to the cost curvature seen through
     the PCC rows of the sensitivity map.  Each stage derives its step QPs
-    from one step_qp_template.  Steps warm-start their power flow from the
-    previous step; the pinned point is solved from a flat start, as
-    verify_vertices re-solves it.
+    from one step_qp_template.
     """
-    c = np.array([math.cos(theta), math.sin(theta)])
-    n_vec = np.array([-math.sin(theta), math.cos(theta)])
-    m_pcc = smap.matrix[-2:]
-    sigma_n2 = float(np.sum((n_vec @ m_pcc) ** 2))
-    sigma_c2 = float(np.sum((c @ m_pcc) ** 2))
-    if sigma_n2 + sigma_c2 < 1e-18:
-        raise FORError("controls have no effect on the PCC flow; the region is a point")
 
-    u = smap.u0.copy()
-    state = None
+    def __init__(self, grid: GridModel, smap: SensitivityMap, theta: float, config: SweepConfig):
+        c = np.array([math.cos(theta), math.sin(theta)])
+        n_vec = np.array([-math.sin(theta), math.cos(theta)])
+        m_pcc = smap.matrix[-2:]
+        sigma_n2 = float(np.sum((n_vec @ m_pcc) ** 2))
+        sigma_c2 = float(np.sum((c @ m_pcc) ** 2))
+        if sigma_n2 + sigma_c2 < 1e-18:
+            raise FORError("controls have no effect on the PCC flow; the region is a point")
+        self.config = config
+        self.stages = []
+        for kappa, mu in config.stages:
+            alpha = config.gain_scale / (mu * sigma_n2 + kappa * sigma_c2)
+
+            def gradient(y: MeasurementVector, kappa=kappa, mu=mu) -> np.ndarray:
+                perp = float(n_vec @ [y.p_pcc, y.q_pcc])
+                grad_phi = np.zeros(len(y))
+                grad_phi[-2] = -kappa * c[0] + 2.0 * mu * perp * n_vec[0]
+                grad_phi[-1] = -kappa * c[1] + 2.0 * mu * perp * n_vec[1]
+                return grad_phi
+
+            self.stages.append((alpha, gradient, step_qp_template(grid, smap, alpha)))
+        self.u = smap.u0.copy()
+        self.stage = 0
+        self.iterations = 0
+        self.stall = 0
+
+    def advance(self, step: OFOStep) -> bool:
+        """Take one step's outcome; False once the last stage has ended.
+
+        A stage ends on a QP that is not optimal, after ``patience``
+        updates in a row below ``stall_tol``, or after
+        ``stage_iterations`` steps.
+        """
+        config = self.config
+        self.iterations += 1
+        ended = step.qp_status != "optimal"
+        if not ended:
+            delta = float(np.max(np.abs(step.u_next - self.u)))
+            self.u = step.u_next
+            self.stall = self.stall + 1 if delta < config.stall_tol else 0
+            ended = self.stall >= config.patience
+        if ended or self.iterations >= config.stage_iterations:
+            self.stage += 1
+            self.iterations = self.stall = 0
+        return self.stage < len(self.stages)
+
+
+def _push_rays(
+    grid: GridModel, smap: SensitivityMap, thetas, config: SweepConfig
+) -> list[tuple[np.ndarray, SystemState] | Exception]:
+    """Drive the PCC flow outward along each ray until pinned, all rays in lockstep.
+
+    Every live ray takes one step per call of the step kernel, as one
+    stack: each with its own stage, gain, template and cost, its power
+    flow warm-started from its previous step.  A ray leaves the stack when
+    its last stage ends or its plant fails.  The pinned points are then
+    solved from a flat start, as verify_vertices re-solves them.  Returns
+    per ray its (control, pinned state), or the error that dropped it.
+    Each ray's result is bit for bit that of the ray pushed alone.
+    """
+    results: list = [None] * len(thetas)
+    rays: dict[int, _Ray] = {}
+    for i, theta in enumerate(thetas):
+        try:
+            rays[i] = _Ray(grid, smap, theta, config)
+        except FORError as exc:
+            results[i] = exc
+    live = list(rays)
+    pinned: list[int] = []
+    states = None
     k = 0
-    for kappa, mu in config.stages:
-        alpha = config.gain_scale / (mu * sigma_n2 + kappa * sigma_c2)
-        template = step_qp_template(grid, smap, alpha)
-
-        def gradient(y: MeasurementVector, kappa=kappa, mu=mu) -> np.ndarray:
-            perp = float(n_vec @ [y.p_pcc, y.q_pcc])
-            grad_phi = np.zeros(len(y))
-            grad_phi[-2] = -kappa * c[0] + 2.0 * mu * perp * n_vec[0]
-            grad_phi[-1] = -kappa * c[1] + 2.0 * mu * perp * n_vec[1]
-            return grad_phi
-
-        stall = 0
-        for _ in range(config.stage_iterations):
-            step, state = closed_loop_step(
-                grid, u, smap, alpha, gradient, template, k=k, initial=state
-            )
-            k += 1
-            if step.qp_status != "optimal":
-                break
-            delta = float(np.max(np.abs(step.u_next - u)))
-            u = step.u_next
-            if delta < config.stall_tol:
-                stall += 1
-                if stall >= config.patience:
-                    break
+    while live:
+        stages = [rays[i].stages[rays[i].stage] for i in live]
+        steps, states = closed_loop_step(
+            grid,
+            np.array([rays[i].u for i in live]),
+            smap,
+            [alpha for alpha, _, _ in stages],
+            [gradient for _, gradient, _ in stages],
+            [template for _, _, template in stages],
+            k=k,
+            initial=states,
+        )
+        k += 1
+        going = []
+        for j, (i, step) in enumerate(zip(live, steps)):
+            if isinstance(step, PowerFlowError):
+                results[i] = step
+            elif rays[i].advance(step):
+                going.append(j)
             else:
-                stall = 0
-    state = solve_power_flow(grid, control=u)
-    if not state.converged:
-        raise PowerFlowError("power flow diverged at the pinned point")
-    return u, state
+                pinned.append(i)
+        live = [live[j] for j in going]
+        states = states.take(going)
+    if pinned:
+        solved = solve_power_flow(grid, control=np.array([rays[i].u for i in pinned]))
+        for j, i in enumerate(pinned):
+            if solved.failures[j] is not None:
+                results[i] = SingularJacobianError(solved.failures[j])
+            elif not solved.converged[j]:
+                results[i] = PowerFlowError("power flow diverged at the pinned point")
+            else:
+                results[i] = (rays[i].u, solved[j])
+    return results
 
 
 def sweep_for(
@@ -223,7 +293,11 @@ def sweep_for(
     smap: SensitivityMap | None = None,
     config: SweepConfig | None = None,
 ) -> FORPolygon:
-    """Chart the feasible PCC region by pushing along rays from the origin."""
+    """Chart the feasible PCC region by pushing along rays from the origin.
+
+    The rays are pushed in lockstep (see _push_rays); each vertex is what
+    its ray gives when pushed alone.
+    """
     if config is None:
         config = SweepConfig()
     if smap is None:
@@ -235,13 +309,12 @@ def sweep_for(
     controls: list[np.ndarray] = []
     failures: list[tuple[float, str]] = []
 
-    for i in range(config.n_angles):
-        theta = 2.0 * math.pi * i / config.n_angles
-        try:
-            u, state = _push_direction(grid, smap, theta, config)
-        except (PowerFlowError, FORError) as exc:
-            failures.append((theta, str(exc)))
+    thetas = [2.0 * math.pi * i / config.n_angles for i in range(config.n_angles)]
+    for theta, result in zip(thetas, _push_rays(grid, smap, thetas, config)):
+        if isinstance(result, Exception):
+            failures.append((theta, str(result)))
             continue
+        u, state = result
         vertices.append((state.p_pcc, state.q_pcc))
         angles.append(theta)
         binding.append(_binding_labels(grid, u, state))
@@ -280,31 +353,27 @@ def sample_oracle_for(grid: GridModel, n_samples: int, seed) -> FORSample:
 
     No linearization is involved: every candidate is a full power-flow
     solve, and feasibility is judged by the exact limit check (a violation
-    of at most 1e-9).
+    of at most 1e-9).  The candidates are drawn as one stream and solved
+    ORACLE_CHUNK at a time as one stack; each gives what its own solve
+    would.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(seed)
     lower, upper = grid.control_bounds()
-    points: list[tuple[float, float]] = []
+    points: list[np.ndarray] = []
     n_infeasible = 0
     n_diverged = 0
-    for _ in range(n_samples):
-        u = rng.uniform(lower, upper)
-        try:
-            state = solve_power_flow(grid, control=u)
-        except PowerFlowError:
-            n_diverged += 1
-            continue
-        if not state.converged:
-            n_diverged += 1
-            continue
-        if limit_violation(grid, state) > 1e-9:
-            n_infeasible += 1
-            continue
-        points.append((state.p_pcc, state.q_pcc))
+    for start in range(0, n_samples, ORACLE_CHUNK):
+        u = rng.uniform(lower, upper, size=(min(ORACLE_CHUNK, n_samples - start), lower.size))
+        states = solve_power_flow(grid, control=u)
+        solved = states.take(np.flatnonzero(states.converged))
+        feasible = limit_violation(grid, solved) <= 1e-9
+        n_diverged += len(states) - len(solved)
+        n_infeasible += int(np.count_nonzero(~feasible))
+        points.append(np.column_stack([solved.p_pcc[feasible], solved.q_pcc[feasible]]))
     return FORSample(
-        points=np.array(points).reshape(-1, 2),
+        points=np.concatenate(points).reshape(-1, 2),
         n_requested=n_samples,
         n_infeasible=n_infeasible,
         n_diverged=n_diverged,

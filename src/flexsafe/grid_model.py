@@ -151,6 +151,18 @@ class GridModel:
         return _read_only(np.delete(np.arange(self.n_bus), self.slack_index))
 
     @cached_property
+    def pq_select(self) -> slice | np.ndarray:
+        """pq_indices as a slice when they are one run of buses, else as they are.
+
+        Indexing with a slice gives a view, so the Newton loop reads and
+        updates the PQ buses without fancy-index copies.
+        """
+        pq = self.pq_indices
+        if pq.size and pq[-1] - pq[0] == pq.size - 1:
+            return slice(int(pq[0]), int(pq[-1]) + 1)
+        return pq
+
+    @cached_property
     def pcc_index(self) -> int:
         return self.branch_index[self.pcc]
 
@@ -209,17 +221,24 @@ class GridModel:
         injections of ``apply_control(self, control)``, without building it.
         With ``load_delta``, an (n_loads, 2) array of (dp, dq) in declaration
         order, each fixed load draws (p + dp) + j(q + dq) instead of p + jq.
+        A (K, n_u) stack of controls or a (K, n_loads, 2) stack of load
+        deltas gives a (K, n_bus) stack of injections, row i from member i
+        alone; an unstacked argument applies to every member.
         """
         if control is None:
             u = self.control_vector()
         else:
-            u = np.clip(_as_control(self, control), *self.control_bounds())
+            u = _as_control(self, control, stack=True).clip(*self.control_bounds())
         if load_delta is None:
             s = self._uncontrolled_injections.copy()
         else:
             s = self._minus_loads(load_delta)
+        if s.ndim < u.ndim:  # a stack of controls over the same loads
+            s = np.repeat(s[None], len(u), axis=0)
         j = self.n_ctrl
-        np.add.at(s, self.ctrl_buses, u[:j] + 1j * u[j:])
+        units = u[..., :j] + 1j * u[..., j:]
+        # Transposed, the bus axis leads for one member and for a stack alike.
+        np.add.at(s.T, self.ctrl_buses, units.T if units.ndim == s.ndim else units[:, None])
         return s
 
     @cached_property
@@ -231,15 +250,16 @@ class GridModel:
         """The non-controllable units' injections less each fixed load moved by (dp, dq).
 
         Loads are subtracted one by one in declaration order, as a grid
-        built with the moved loads sums them.
+        built with the moved loads sums them; a stack of deltas gives a
+        stack of injections.
         """
         units, buses, loads = self._injection_parts
         delta = np.asarray(delta, dtype=float)
-        if delta.shape != loads.shape:
+        if delta.shape[-2:] != loads.shape or delta.ndim > 3:
             raise ValueError(f"load delta has shape {delta.shape}, expected {loads.shape}")
         pq = loads + delta
-        s = units.copy()
-        np.subtract.at(s, buses, pq[:, 0] + 1j * pq[:, 1])
+        s = units.copy() if pq.ndim == 2 else np.repeat(units[None], len(pq), axis=0)
+        np.subtract.at(s.T, buses, (pq[..., 0] + 1j * pq[..., 1]).T)
         return s
 
     @cached_property
@@ -423,11 +443,39 @@ def load_grid(path: str | Path) -> GridModel:
 # ---- validation ------------------------------------------------------------
 
 
+#: Per-unit fields of each model part, and the grid-file key each comes from.
+_FILE_KEYS = {
+    "buses": {"v_kv": "v_kv", "v_min": "v_min_pu", "v_max": "v_max_pu"},
+    "branches": {"r": "r_pu", "x": "x_pu", "b": "b_pu", "tap": "tap", "s_max": "s_max_mva"},
+    "flex_units": {
+        "p_min": "p_min_mw",
+        "p_max": "p_max_mw",
+        "q_min": "q_min_mvar",
+        "q_max": "q_max_mvar",
+        "p": "p_mw",
+        "q": "q_mvar",
+    },
+    "loads": {"p": "p_mw", "q": "q_mvar"},
+}
+
+
 def validate(grid: GridModel) -> list[str]:
-    """Check every structural invariant; returns one finding per violation."""
+    """Check every structural invariant; returns one finding per violation.
+
+    Every per-unit number must be finite (s_max may be +inf, an unlimited
+    branch): a finite file value divided by a small s_base can overflow.
+    Such a finding names the file key, e.g. ``flex_units/0/p_max_mw``.
+    """
     findings: list[str] = []
     if grid.s_base <= 0:
         findings.append(f"s_base must be positive, got {grid.s_base}")
+    for part, keys in _FILE_KEYS.items():
+        items = grid.fixed_loads if part == "loads" else getattr(grid, part)
+        for i, item in enumerate(items):
+            for name, key in keys.items():
+                value = getattr(item, name)
+                if not (math.isfinite(value) or (name == "s_max" and value == math.inf)):
+                    findings.append(f"{part}/{i}/{key}: per-unit value {value} is not finite")
 
     seen: set[str] = set()
     for bus in grid.buses:
@@ -513,12 +561,13 @@ def validate(grid: GridModel) -> list[str]:
 # ---- control application ----------------------------------------------------
 
 
-def _as_control(grid: GridModel, u) -> np.ndarray:
-    """u as a float array, checked to have the grid's control-vector length."""
+def _as_control(grid: GridModel, u, stack: bool = False) -> np.ndarray:
+    """u as a float array of one control vector, or also a (K, n_u) stack if ``stack``."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (2 * grid.n_ctrl,):
+    if u.ndim not in ((1, 2) if stack else (1,)) or u.shape[-1] != 2 * grid.n_ctrl:
         raise ValueError(
-            f"control vector has length {u.size}, expected {2 * grid.n_ctrl}"
+            f"control vector has length {u.shape[-1] if u.ndim else 1}, "
+            f"expected {2 * grid.n_ctrl}"
         )
     return u
 

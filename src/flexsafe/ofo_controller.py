@@ -28,6 +28,8 @@ from flexsafe.power_flow import (
     MeasurementNoise,
     MeasurementVector,
     PowerFlowError,
+    SingularJacobianError,
+    StateStack,
     SystemState,
     measure,
     solve_power_flow,
@@ -159,13 +161,15 @@ def step_qp_template(grid: GridModel, smap, alpha: float) -> QuadraticProgram:
     m_mat = smap.matrix
     n, m = grid.n_bus, grid.n_branch
     lower_u, upper_u = grid.control_bounds()
-    a = np.vstack(
-        [
-            alpha * np.eye(lower_u.size),
-            alpha * m_mat[:n],
-            alpha * m_mat[n : n + m],
-        ]
-    )
+    # A huge alpha overflows to inf here; QuadraticProgram rejects it.
+    with np.errstate(over="ignore"):
+        a = np.vstack(
+            [
+                alpha * np.eye(lower_u.size),
+                alpha * m_mat[:n],
+                alpha * m_mat[n : n + m],
+            ]
+        )
     return QuadraticProgram(
         g=np.zeros(a.shape[1]),
         a=a,
@@ -180,8 +184,8 @@ def build_step_qp(
     smap,
     grid: GridModel,
     grad_phi: np.ndarray,
-    template: QuadraticProgram,
-) -> QuadraticProgram:
+    template: QuadraticProgram | Sequence[QuadraticProgram],
+) -> QuadraticProgram | list[QuadraticProgram]:
     """Assemble the per-step direction QP at measurement y and control u.
 
     Rows, in order: control box (exact, on the true u), voltage band and
@@ -189,24 +193,36 @@ def build_step_qp(
     on the post-step point u + alpha w.  ``template`` is the loop's
     step_qp_template(grid, smap, alpha); each step supplies only its
     gradient and offsets.
+
+    With a (K, n_u) stack of controls, a stack of K measurements, a
+    (K, n_y) stack of gradients and one template per member, returns one
+    QP per member.  The offsets are formed for the whole stack; each
+    member's 2 M^T grad_phi is its own matrix-vector product, so a
+    member's bits do not depend on its companions.
     """
     lower_u, upper_u = grid.control_bounds()
-    lower = np.concatenate([lower_u - u, grid.v_min - y.v, -y.s])
-    upper = np.concatenate([upper_u - u, grid.v_max - y.v, grid.s_max - y.s])
-    return template.with_vectors(2.0 * (smap.matrix.T @ grad_phi), lower, upper)
+    lower = np.concatenate([lower_u - u, grid.v_min - y.v, -y.s], axis=-1)
+    upper = np.concatenate([upper_u - u, grid.v_max - y.v, grid.s_max - y.s], axis=-1)
+    m_t = smap.matrix.T
+    if u.ndim == 1:
+        return template.with_vectors(2.0 * (m_t @ grad_phi), lower, upper)
+    return [
+        t.with_vectors(2.0 * (m_t @ grad), low, up)
+        for t, grad, low, up in zip(template, grad_phi, lower, upper)
+    ]
 
 
 def closed_loop_step(
     grid: GridModel,
     u: np.ndarray,
     smap,
-    alpha: float,
-    gradient: Callable[[MeasurementVector], np.ndarray],
-    template: QuadraticProgram,
+    alpha: float | Sequence[float],
+    gradient: Callable[[MeasurementVector], np.ndarray] | Sequence[Callable],
+    template: QuadraticProgram | Sequence[QuadraticProgram],
     k: int = 0,
     noise: NoiseModel | None = None,
-    initial: SystemState | None = None,
-) -> tuple[OFOStep, SystemState]:
+    initial: SystemState | StateStack | None = None,
+) -> tuple[OFOStep, SystemState] | tuple[tuple[OFOStep | PowerFlowError, ...], StateStack]:
     """Run one closed-loop iteration against the true plant.
 
     The step kernel of every loop (dispatch, region sweep, gain
@@ -217,33 +233,66 @@ def closed_loop_step(
     alpha).  Returns the step record and the true plant state that
     produced the measurement.  An infeasible QP holds the control (w = 0)
     rather than taking an unreliable direction.
+
+    A (K, n_u) stack of controls steps K independent members in lockstep:
+    ``alpha``, ``gradient`` and ``template`` then hold one entry per member,
+    ``initial`` is a StateStack, and ``noise`` may drive a stack of one
+    only.  The plant is solved as one stack, and the measurements, QP
+    offsets and clip are formed for the whole stack; each member's cost
+    gradient and QP are its own.  Returns, per member, its OFOStep
+    or the PowerFlowError that stopped it, and the StateStack.  A member's
+    results are bit for bit those of its own one-member step; one control
+    vector is the one-member case.
     """
     u = np.asarray(u, dtype=float)
+    single = u.ndim == 1
+    if noise is not None and not single:
+        raise ValueError("a noise model drives one member, not a stack")
     load_delta = noise.perturb_grid(grid, k) if noise is not None else None
-    state = solve_power_flow(grid, initial=initial, control=u, load_delta=load_delta)
-    if not state.converged:
-        raise PowerFlowError(
-            f"plant power flow diverged at iteration {k} (mismatch {state.mismatch:.3e})"
-        )
-    y = measure(state, noise.measurement_noise(k) if noise is not None else None)
-    grad_phi = gradient(y)
-    solution = solve_qp(build_step_qp(u, y, smap, grid, grad_phi, template))
-    if solution.status == "optimal":
-        w = solution.w
-        u_next, _ = clip_control(grid, u + alpha * w)
+    states = solve_power_flow(grid, initial=initial, control=u, load_delta=load_delta)
+    if single:
+        if not states.converged:
+            raise PowerFlowError(
+                f"plant power flow diverged at iteration {k} (mismatch {states.mismatch:.3e})"
+            )
+        u_live, alphas = u[None], (alpha,)
+        members = [measure(states, noise.measurement_noise(k) if noise is not None else None)]
+        problems = [build_step_qp(u, members[0], smap, grid, gradient(members[0]), template)]
     else:
-        w = np.zeros_like(u)
-        u_next = u.copy()
-    step = OFOStep(
-        k=k,
-        y=y,
-        w=w,
-        u=u.copy(),
-        u_next=u_next,
-        qp_status=solution.status,
-        active_count=len(solution.active_set),
-    )
-    return step, state
+        results: list[OFOStep | PowerFlowError | None] = [None] * len(u)
+        for i in np.flatnonzero(~states.converged):
+            why = states.failures[i]
+            results[i] = SingularJacobianError(why) if why else PowerFlowError(
+                f"plant power flow diverged at iteration {k} "
+                f"(mismatch {states.mismatch[i]:.3e})"
+            )
+        live = np.flatnonzero(states.converged)
+        u_live, alphas = u[live], [alpha[i] for i in live]
+        ys = measure(states.take(live))
+        members = [MeasurementVector(row.copy(), ys.n_bus, ys.n_branch) for row in ys.values]
+        grad_phi = np.array([gradient[i](y) for i, y in zip(live, members)])
+        problems = build_step_qp(u_live, ys, smap, grid, grad_phi, [template[i] for i in live])
+    solutions = [solve_qp(problem) for problem in problems]
+    w = [sol.w if sol.status == "optimal" else np.zeros(u.shape[-1]) for sol in solutions]
+    if w:  # some member's plant solved
+        stepped = (u_live + np.array(alphas)[:, None] * np.array(w)).clip(*grid.control_bounds())
+    steps = [
+        OFOStep(
+            k=k,
+            y=y,
+            w=w_j,
+            u=u_live[j].copy(),
+            u_next=(stepped[j] if solution.status == "optimal" else u_live[j]).copy(),
+            qp_status=solution.status,
+            active_count=len(solution.active_set),
+        )
+        for j, (y, w_j, solution) in enumerate(zip(members, w, solutions))
+    ]
+    if single:
+        return steps[0], states
+    for i, step in zip(live, steps):
+        results[i] = step
+    return tuple(results), states
 
 
 def run_schedule(

@@ -118,7 +118,11 @@ class QuadraticProgram:
 
     @cached_property
     def _normals(self) -> "_Normals":
-        """The one-sided normals; they depend on a and on which bounds are finite."""
+        """The one-sided normals; they depend on a and on which bounds are finite.
+
+        Raises QPError if their Gram matrix is not finite, as when huge rows
+        overflow; the solver could only return garbage from it.
+        """
         finite = np.isfinite(self._sides)
         keep = np.flatnonzero(finite)
         row, upper = keep >> 1, keep & 1
@@ -126,7 +130,10 @@ class QuadraticProgram:
         c = self.a[row]
         c[flip] = -c[flip]
         c.flags.writeable = False
-        gram = c @ c.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = c @ c.T
+        if not np.isfinite(gram).all():
+            raise QPError("the constraint rows are too large: their Gram matrix overflows")
         gram.flags.writeable = False
         tags = [(r, _SIDES[s]) for r, s in zip(row.tolist(), upper.tolist())]
         return _Normals(finite=finite, keep=keep, flip=flip, c=c, tags=tags, gram=gram)

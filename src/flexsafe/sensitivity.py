@@ -146,7 +146,7 @@ def compute_sensitivity(grid: GridModel, u0: np.ndarray | None = None) -> Sensit
     npq = len(pq)
     pos = {bus: i for i, bus in enumerate(pq)}
 
-    jac = mismatch_jacobian(grid.ybus_pq, voltage[pq], (grid.ybus @ voltage)[pq])
+    jac = mismatch_jacobian(grid.ybus_pq, voltage[None, pq], (grid.ybus @ voltage)[None, pq])[0]
     selector = np.zeros((2 * npq, 2 * grid.n_ctrl))
     j = grid.n_ctrl
     for col, bus in enumerate(grid.ctrl_buses):

@@ -90,6 +90,18 @@ def synth30() -> GridModel:
     return load_grid(grid_path("synth30"))
 
 
+def assert_same_state(member: SystemState, solo: SystemState) -> None:
+    """Every SystemState field equal bit for bit (NaN equal to NaN), types included."""
+    for name in ("v", "theta", "s_flows"):
+        got, want = getattr(member, name), getattr(solo, name)
+        assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True), name
+    for name in ("p_pcc", "q_pcc", "mismatch"):
+        got, want = getattr(member, name), getattr(solo, name)
+        assert type(got) is float and np.array_equal(got, want, equal_nan=True), name
+    assert member.converged is solo.converged
+    assert type(member.iterations) is int and member.iterations == solo.iterations
+
+
 def twobus_closed_form(p_inj: float, q_inj: float, x: float):
     """Exact two-bus solution, derived by hand rather than by the solver.
 

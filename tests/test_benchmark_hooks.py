@@ -11,7 +11,9 @@ import importlib.util
 from functools import cached_property
 from pathlib import Path
 
-from flexsafe import ofo_controller
+import flexsafe
+from flexsafe import ofo_controller, power_flow
+from flexsafe.for_region import SweepConfig, sweep_for
 from flexsafe.grid_model import GridModel
 from flexsafe.ofo_controller import ControllerConfig, SetPoint, run_schedule
 from flexsafe.sensitivity import compute_sensitivity
@@ -50,3 +52,40 @@ def test_one_step_qp_built_per_recorded_step(ring4, monkeypatch):
     traj = run_schedule(ring4, compute_sensitivity(ring4), schedule, config)
     assert len(traj.steps) > 2
     assert len(built) == len(traj.steps)
+
+
+def _record_calls(monkeypatch, module, name) -> list:
+    """Collect what every call of module.name returns, wrapped as perfbench wraps it.
+
+    Callers import by name, so every flexsafe module attribute that holds
+    the function is replaced.
+    """
+    original = getattr(module, name)
+    returned = []
+
+    def recording(*args, **kwargs):
+        out = original(*args, **kwargs)
+        returned.append(out)
+        return out
+
+    modules = {m for m, _ in _tracing().LAYERS}
+    for mod in (flexsafe, *(importlib.import_module(f"flexsafe.{m}") for m in modules)):
+        for key, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, key, recording)
+    return returned
+
+
+def test_sweep_solves_the_plant_once_per_built_step(ring4, monkeypatch):
+    """A lockstep sweep builds its step QPs and solves its plant once per kernel step.
+
+    perfbench counts steps by build_step_qp calls and requires as many
+    power-flow solves; it writes each solve's iteration count to JSON.
+    """
+    smap = compute_sensitivity(ring4)
+    solves = _record_calls(monkeypatch, power_flow, "solve_power_flow")
+    built = _record_calls(monkeypatch, ofo_controller, "build_step_qp")
+    polygon = sweep_for(ring4, smap, SweepConfig(n_angles=6))
+    assert polygon.n_vertices == 6
+    assert built and len(solves) >= len(built)
+    assert all(type(out.iterations) is int for out in solves)

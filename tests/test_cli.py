@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -97,17 +98,39 @@ def test_broken_grid_exits_1(workdir, capsys):
 
 
 @pytest.mark.parametrize(
-    "unit, index, key, value",
-    [("branches", 1, "r_pu", float("nan")), ("flex_units", 0, "p_max_mw", float("inf"))],
+    "unit, index, key, value, s_base",
+    [
+        pytest.param("branches", 1, "r_pu", float("nan"), None, id="branches-1-r_pu-nan"),
+        pytest.param("flex_units", 0, "p_max_mw", float("inf"), None, id="flex_units-0-p_max_mw-inf"),
+        # Finite in the file, but 1e308 MW over 0.5 MVA overflows per unit.
+        pytest.param("flex_units", 0, "p_max_mw", 1e308, 0.5, id="flex_units-0-p_max_mw-per-unit-overflow"),
+    ],
 )
-def test_non_finite_grid_number_exits_1(workdir, capsys, unit, index, key, value):
+def test_non_finite_grid_number_exits_1(workdir, capsys, unit, index, key, value, s_base):
     doc = json.loads((workdir / "ring4.json").read_text())
     doc[unit][index][key] = value
+    if s_base is not None:
+        doc["s_base_mva"] = s_base
     (workdir / "ring4.json").write_text(json.dumps(doc))
     path = write_scenario(workdir, base_doc())
     assert main(["for", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{unit}/{index}/{key}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "mc"])
+def test_overflowing_gain_exits_2(workdir, capsys, command):
+    """A finite but huge alpha overflows the step QP's rows: exit 2, no verdict, no warning."""
+    doc = base_doc(controller={"alpha": 1e308, "max_iterations": 20}, noise=NOISE, mc={"n_trials": 2})
+    path = write_scenario(workdir, doc)
+    out = workdir / "art"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, str(path), "--out", str(out)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "Gram matrix" in err and "Traceback" not in err
+    assert not (out / "run_verdict.json").exists() and not (out / "mc_summary.json").exists()
 
 
 def test_unsolvable_grid_exits_2(workdir, capsys):

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from flexsafe.for_region import (
+    ORACLE_CHUNK,
     FORError,
     FORPolygon,
     SweepConfig,
+    _binding_labels,
+    _push_rays,
     contains_many,
     export_for_csv,
     polygon_area,
@@ -17,7 +20,11 @@ from flexsafe.for_region import (
     sweep_for,
     verify_vertices,
 )
+from flexsafe.grid_model import load_grid
+from flexsafe.power_flow import PowerFlowError, limit_violation, solve_power_flow
 from flexsafe.sensitivity import compute_sensitivity
+
+from conftest import assert_same_state, grid_path
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +186,57 @@ def test_read_rejects_foreign_csv(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(FORError):
         read_for_csv(path)
+
+
+def test_lockstep_sweep_equals_each_ray_alone(ring4):
+    """The rays pushed in lockstep give what each gives pushed alone, bit for bit."""
+    smap = compute_sensitivity(ring4)
+    config = SweepConfig(n_angles=6)
+    polygon = sweep_for(ring4, smap=smap, config=config)
+    assert polygon.n_vertices == 6
+    for i, theta in enumerate(polygon.angles):
+        ((u, state),) = _push_rays(ring4, smap, [theta], config)
+        assert np.array_equal(polygon.controls[i], u)
+        assert tuple(polygon.vertices[i]) == (state.p_pcc, state.q_pcc)
+        assert polygon.binding[i] == _binding_labels(ring4, u, state)
+        assert_same_state(solve_power_flow(ring4, control=u), state)
+    violations, drift = verify_vertices(ring4, polygon)
+    assert np.all(drift == 0.0)
+    assert np.max(violations) <= 1e-6
+
+
+def oracle_one_by_one(grid, n_samples, seed):
+    """The sampling oracle as one solve per sample: the reference for the stacked one."""
+    rng = np.random.default_rng(seed)
+    lower, upper = grid.control_bounds()
+    points, n_infeasible, n_diverged = [], 0, 0
+    for _ in range(n_samples):
+        u = rng.uniform(lower, upper)
+        try:
+            state = solve_power_flow(grid, control=u)
+        except PowerFlowError:
+            n_diverged += 1
+            continue
+        if not state.converged:
+            n_diverged += 1
+        elif limit_violation(grid, state) > 1e-9:
+            n_infeasible += 1
+        else:
+            points.append((state.p_pcc, state.q_pcc))
+    return np.array(points).reshape(-1, 2), n_infeasible, n_diverged
+
+
+@pytest.mark.parametrize("name", ["ring4_tightv", "synth30"])
+def test_stacked_oracle_equals_one_by_one(name):
+    grid = load_grid(grid_path(name))
+    n = 2 * ORACLE_CHUNK + 37  # two full chunks and a partial one
+    sample = sample_oracle_for(grid, n, seed=11)
+    points, n_infeasible, n_diverged = oracle_one_by_one(grid, n, 11)
+    assert np.array_equal(sample.points, points)
+    assert (sample.n_requested, sample.n_infeasible, sample.n_diverged) == (
+        n,
+        n_infeasible,
+        n_diverged,
+    )
+    if name == "ring4_tightv":  # its tight voltage band rejects some samples
+        assert sample.n_infeasible > 0

@@ -17,9 +17,11 @@ from flexsafe.ofo_controller import (
     step_qp_template,
 )
 from flexsafe.grid_model import apply_control
-from flexsafe.power_flow import measure, solve_power_flow
+from flexsafe.power_flow import PowerFlowError, measure, solve_power_flow
 from flexsafe.qp_solver import QuadraticProgram, solve_qp
 from flexsafe.sensitivity import compute_sensitivity
+
+from conftest import assert_same_state
 
 
 @pytest.fixture(scope="module")
@@ -255,3 +257,50 @@ def test_config_validation():
         ControllerConfig(alpha=0.1, max_iterations=0)
     with pytest.raises(ValueError):
         ControllerConfig(alpha=0.1, convergence_tol=-1.0)
+
+
+def test_stacked_step_members_equal_their_own_steps(ring4, ring4_map):
+    """One kernel step over members with their own gains, templates and costs.
+
+    Each member's record and plant state are bit for bit its one-member
+    step; a member whose plant fails gets the error its own step raises,
+    and the others go on.
+    """
+    lower, upper = ring4.control_bounds()
+    u = np.random.default_rng(8).uniform(lower, upper, size=(4, lower.size))
+    u[3, 0] = np.nan
+    alphas = [0.05, 0.1, 0.2, 0.1]
+    targets = [SetPoint(0.2, 0.1), SetPoint(-0.1, 0.0), SetPoint(0.3, -0.2), SetPoint(0.0, 0.0)]
+    gradients = [lambda y, target=target: grad_cost(y, target) for target in targets]
+    templates = [step_qp_template(ring4, ring4_map, alpha) for alpha in alphas]
+    initial = solve_power_flow(ring4, control=0.9 * np.nan_to_num(u))
+    steps, states = closed_loop_step(
+        ring4, u, ring4_map, alphas, gradients, templates, k=5, initial=initial
+    )
+    assert len(steps) == len(states) == 4
+    for i in range(4):
+        args = (ring4, u[i], ring4_map, alphas[i], gradients[i], templates[i])
+        if i == 3:
+            with pytest.raises(PowerFlowError) as exc:
+                closed_loop_step(*args, k=5, initial=initial[i])
+            assert isinstance(steps[i], PowerFlowError) and str(steps[i]) == str(exc.value)
+            continue
+        step, state = closed_loop_step(*args, k=5, initial=initial[i])
+        got = steps[i]
+        for name in ("w", "u", "u_next"):
+            assert np.array_equal(getattr(got, name), getattr(step, name)), name
+        assert np.array_equal(got.y.values, step.y.values)
+        assert (got.k, got.qp_status, got.active_count) == (step.k, step.qp_status, step.active_count)
+        assert_same_state(states[i], state)
+
+
+def test_noise_drives_one_member_only(ring4, ring4_map, config):
+    from flexsafe.uncertainty_mc import NoiseConfig, TrialNoise
+
+    noise = TrialNoise(NoiseConfig(seed=1, meas_bounds=(-0.01, 0.01)), trial=0)
+    template = step_qp_template(ring4, ring4_map, config.alpha)
+    u = np.zeros((2, 2 * ring4.n_ctrl))
+    with pytest.raises(ValueError, match="one member"):
+        closed_loop_step(
+            ring4, u, ring4_map, [0.1, 0.1], [np.zeros_like] * 2, [template] * 2, noise=noise
+        )

@@ -1,14 +1,19 @@
 """AC power-flow solver against a hand-derived two-bus solution and physics checks."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flexsafe import power_flow
 from flexsafe.grid_model import apply_control, load_grid
 from flexsafe.power_flow import (
     MeasurementNoise,
     PowerFlowError,
+    SingularJacobianError,
     branch_flows,
     limit_violation,
     measure,
@@ -19,7 +24,7 @@ from flexsafe.power_flow import (
 )
 from flexsafe.uncertainty_mc import NoiseConfig, TrialNoise
 
-from conftest import ALL_GRIDS, grid_path, twobus_closed_form
+from conftest import ALL_GRIDS, assert_same_state, grid_path, twobus_closed_form
 
 
 def test_two_bus_matches_closed_form(twobus):
@@ -217,3 +222,109 @@ def test_limit_violation_sign(ring4, ring4_tightv):
     grid = apply_control(ring4_tightv, np.array([0.0, 0.0, 0.6, 0.6]))
     pushed = solve_power_flow(grid)
     assert limit_violation(ring4_tightv, pushed) > 0.0
+
+
+#: Grids for the stacked-solve property test, loaded once for all examples.
+STACK_GRIDS = {name: load_grid(grid_path(name)) for name in ("twobus", "ring4", "synth30")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(STACK_GRIDS)),
+    k=st.integers(1, 6),
+    where=st.integers(0, 5),
+    odd=st.sampled_from([None, "diverging", "non-finite"]),
+    warm=st.booleans(),
+    loads=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_member_equals_its_solo_solve(name, k, where, odd, warm, loads, seed):
+    """A member of any stack, at any position, is bit for bit its own solve.
+
+    Flat or warm start, with or without load deltas; one member may diverge
+    (a load far past what the grid can deliver) or take a non-finite step
+    (a NaN control), and its companions are untouched.
+    """
+    grid = STACK_GRIDS[name]
+    rng = np.random.default_rng(seed)
+    lower, upper = grid.control_bounds()
+    u = rng.uniform(lower, upper, size=(k, lower.size))
+    delta = None
+    if loads or odd == "diverging":
+        delta = rng.normal(scale=0.02, size=(k, len(grid.fixed_loads), 2))
+    where %= k
+    if odd == "diverging":
+        delta[where] += 50.0
+    elif odd == "non-finite":
+        u[where, 0] = np.nan
+    initial = None
+    if warm:
+        near = np.clip(np.nan_to_num(u) + rng.normal(scale=0.05, size=u.shape), lower, upper)
+        initial = solve_power_flow(grid, control=near)
+    with np.errstate(all="ignore"):
+        stack = solve_power_flow(grid, initial=initial, control=u, load_delta=delta)
+        assert len(stack) == k
+        assert type(stack.iterations) is int and stack.iterations == stack.steps.max()
+        for i in range(k):
+            try:
+                solo = solve_power_flow(
+                    grid,
+                    initial=None if initial is None else initial[i],
+                    control=u[i],
+                    load_delta=None if delta is None else delta[i],
+                )
+            except SingularJacobianError as exc:
+                assert stack.failures[i] == str(exc) and not stack.converged[i]
+                continue
+            assert stack.failures[i] is None
+            assert_same_state(stack[i], solo)
+    if odd is not None:
+        assert not stack.converged[where]
+    if odd == "non-finite":
+        assert stack.failures[where].startswith("non-finite Newton step")
+
+
+def test_singular_member_fails_alone(ring4, monkeypatch):
+    """A singular Jacobian fails its member only, though np.linalg.solve fails the stack."""
+    mark = 0.777  # a voltage magnitude that marks the member to break
+    original = power_flow.mismatch_jacobian
+
+    def jacobian(ybus_pq, v_pq, i_pq):
+        jac = original(ybus_pq, v_pq, i_pq)
+        jac[np.abs(v_pq[:, 0]) == mark] = 0.0
+        return jac
+
+    monkeypatch.setattr(power_flow, "mismatch_jacobian", jacobian)
+    lower, upper = ring4.control_bounds()
+    u = np.random.default_rng(3).uniform(lower, upper, size=(4, lower.size))
+    start = solve_power_flow(ring4, control=u)
+    v, theta = start.v.copy(), start.theta.copy()
+    first_pq = ring4.pq_indices[0]
+    v[2, first_pq], theta[2, first_pq] = mark, 0.0
+    stack = solve_power_flow(ring4, initial=SimpleNamespace(v=v, theta=theta), control=u)
+    assert stack.failures[2].startswith("singular power-flow Jacobian at iteration 0")
+    assert not stack.converged[2]
+    for i in range(4):
+        alone = SimpleNamespace(v=v[i], theta=theta[i])
+        if i == 2:
+            with pytest.raises(SingularJacobianError) as exc:
+                solve_power_flow(ring4, initial=alone, control=u[i])
+            assert str(exc.value) == stack.failures[2]
+        else:
+            assert stack.failures[i] is None
+            assert_same_state(stack[i], solve_power_flow(ring4, initial=alone, control=u[i]))
+
+
+def test_stack_measure_and_limits_match_members(ring4_tightv):
+    lower, upper = ring4_tightv.control_bounds()
+    u = np.random.default_rng(5).uniform(lower, upper, size=(5, lower.size))
+    stack = solve_power_flow(ring4_tightv, control=u)
+    y = measure(stack)
+    violation = limit_violation(ring4_tightv, stack)
+    assert y.values.shape == (5, len(measurement_labels(ring4_tightv)))
+    assert violation.shape == (5,) and (violation > 0).any()
+    for i in range(5):
+        member = stack[i]
+        assert np.array_equal(y.values[i], measure(member).values)
+        assert (y.p_pcc[i], y.q_pcc[i]) == (member.p_pcc, member.q_pcc)
+        assert violation[i] == limit_violation(ring4_tightv, member)

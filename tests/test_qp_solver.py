@@ -1,5 +1,7 @@
 """Dual active-set QP solver against closed-form projections and a lattice oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -234,6 +236,19 @@ def test_kkt_report_residual_is_max():
 def test_malformed_problems_rejected(kwargs):
     with pytest.raises(QPError):
         QuadraticProgram(**kwargs)
+
+
+def test_overflowing_gram_matrix_rejected():
+    """Rows whose Gram matrix overflows raise QPError, without a floating-point warning."""
+    problem = QuadraticProgram(
+        g=np.zeros(2), a=1e308 * np.eye(2), lower=-np.ones(2), upper=np.ones(2)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QPError, match="Gram matrix"):
+            solve_qp(problem)
+        with pytest.raises(QPError, match="Gram matrix"):
+            problem.with_vectors(np.zeros(2), -np.ones(2), np.ones(2))
 
 
 def test_iteration_cap_reported():
