@@ -179,7 +179,8 @@ class _Ray:
     direction, n its normal) is minimized with the controller's own
     constrained step; the gain is scaled to the cost curvature seen through
     the PCC rows of the sensitivity map.  Each stage derives its step QPs
-    from one step_qp_template.
+    from one step_qp_template; every step QP is warm-started from the
+    active set of the ray's last solved one.
     """
 
     def __init__(self, grid: GridModel, smap: SensitivityMap, theta: float, config: SweepConfig):
@@ -204,6 +205,7 @@ class _Ray:
 
             self.stages.append((alpha, gradient, step_qp_template(grid, smap, alpha)))
         self.u = smap.u0.copy()
+        self.active_set = None
         self.stage = 0
         self.iterations = 0
         self.stall = 0
@@ -221,6 +223,7 @@ class _Ray:
         if not ended:
             delta = float(np.max(np.abs(step.u_next - self.u)))
             self.u = step.u_next
+            self.active_set = step.active_set
             self.stall = self.stall + 1 if delta < config.stall_tol else 0
             ended = self.stall >= config.patience
         if ended or self.iterations >= config.stage_iterations:
@@ -236,8 +239,8 @@ def _push_rays(
 
     Every live ray takes one step per call of the step kernel, as one
     stack: each with its own stage, gain, template and cost, its power
-    flow warm-started from its previous step.  A ray leaves the stack when
-    its last stage ends or its plant fails.  The pinned points are then
+    flow and step QP warm-started from its own previous step.  A ray
+    leaves the stack when its last stage ends or its plant fails.  The pinned points are then
     solved from a flat start, as verify_vertices re-solves them.  Returns
     per ray its (control, pinned state), or the error that dropped it.
     Each ray's result is bit for bit that of the ray pushed alone.
@@ -264,6 +267,7 @@ def _push_rays(
             [template for _, _, template in stages],
             k=k,
             initial=states,
+            warm=[rays[i].active_set for i in live],
         )
         k += 1
         going = []

@@ -87,7 +87,11 @@ class NoiseModel(Protocol):
 
 @dataclass(frozen=True, eq=False)
 class OFOStep:
-    """One controller iteration: measurement in, control update out."""
+    """One controller iteration: measurement in, control update out.
+
+    ``active_set`` holds the step QP's binding (row, side) tags, empty
+    unless the QP was solved; the next step's QP is warm-started from it.
+    """
 
     k: int
     y: MeasurementVector
@@ -95,7 +99,7 @@ class OFOStep:
     u: np.ndarray
     u_next: np.ndarray
     qp_status: str
-    active_count: int
+    active_set: tuple[tuple[int, str], ...]
 
 
 @dataclass(frozen=True)
@@ -222,6 +226,7 @@ def closed_loop_step(
     k: int = 0,
     noise: NoiseModel | None = None,
     initial: SystemState | StateStack | None = None,
+    warm: tuple | Sequence[tuple | None] | None = None,
 ) -> tuple[OFOStep, SystemState] | tuple[tuple[OFOStep | PowerFlowError, ...], StateStack]:
     """Run one closed-loop iteration against the true plant.
 
@@ -230,19 +235,20 @@ def closed_loop_step(
     ``initial`` (the previous step's true state); measure it; solve the step
     QP for the cost gradient ``gradient(y)``; clip the update to the unit
     box.  ``template`` is the loop's step_qp_template for (grid, smap,
-    alpha).  Returns the step record and the true plant state that
-    produced the measurement.  An infeasible QP holds the control (w = 0)
-    rather than taking an unreliable direction.
+    alpha), and ``warm`` the active set of the loop's last solved step QP,
+    the guess solve_qp starts from.  Returns the step record and the true
+    plant state that produced the measurement.  An infeasible QP holds the
+    control (w = 0) rather than taking an unreliable direction.
 
     A (K, n_u) stack of controls steps K independent members in lockstep:
-    ``alpha``, ``gradient`` and ``template`` then hold one entry per member,
-    ``initial`` is a StateStack, and ``noise`` may drive a stack of one
-    only.  The plant is solved as one stack, and the measurements, QP
-    offsets and clip are formed for the whole stack; each member's cost
-    gradient and QP are its own.  Returns, per member, its OFOStep
-    or the PowerFlowError that stopped it, and the StateStack.  A member's
-    results are bit for bit those of its own one-member step; one control
-    vector is the one-member case.
+    ``alpha``, ``gradient``, ``template`` and ``warm`` (if given) then hold
+    one entry per member, ``initial`` is a StateStack, and ``noise`` may
+    drive a stack of one only.  The plant is solved as one stack, and the
+    measurements, QP offsets and clip are formed for the whole stack; each
+    member's cost gradient, QP and guess are its own.  Returns, per member,
+    its OFOStep or the PowerFlowError that stopped it, and the StateStack.
+    A member's results are bit for bit those of its own one-member step;
+    one control vector is the one-member case.
     """
     u = np.asarray(u, dtype=float)
     single = u.ndim == 1
@@ -255,7 +261,7 @@ def closed_loop_step(
             raise PowerFlowError(
                 f"plant power flow diverged at iteration {k} (mismatch {states.mismatch:.3e})"
             )
-        u_live, alphas = u[None], (alpha,)
+        u_live, alphas, guesses = u[None], (alpha,), (warm,)
         members = [measure(states, noise.measurement_noise(k) if noise is not None else None)]
         problems = [build_step_qp(u, members[0], smap, grid, gradient(members[0]), template)]
     else:
@@ -268,11 +274,12 @@ def closed_loop_step(
             )
         live = np.flatnonzero(states.converged)
         u_live, alphas = u[live], [alpha[i] for i in live]
+        guesses = [None] * len(live) if warm is None else [warm[i] for i in live]
         ys = measure(states.take(live))
         members = [MeasurementVector(row.copy(), ys.n_bus, ys.n_branch) for row in ys.values]
         grad_phi = np.array([gradient[i](y) for i, y in zip(live, members)])
         problems = build_step_qp(u_live, ys, smap, grid, grad_phi, [template[i] for i in live])
-    solutions = [solve_qp(problem) for problem in problems]
+    solutions = [solve_qp(problem, warm=guess) for problem, guess in zip(problems, guesses)]
     w = [sol.w if sol.status == "optimal" else np.zeros(u.shape[-1]) for sol in solutions]
     if w:  # some member's plant solved
         stepped = (u_live + np.array(alphas)[:, None] * np.array(w)).clip(*grid.control_bounds())
@@ -284,7 +291,7 @@ def closed_loop_step(
             u=u_live[j].copy(),
             u_next=(stepped[j] if solution.status == "optimal" else u_live[j]).copy(),
             qp_status=solution.status,
-            active_count=len(solution.active_set),
+            active_set=solution.active_set,
         )
         for j, (y, w_j, solution) in enumerate(zip(members, w, solutions))
     ]
@@ -310,7 +317,8 @@ def run_schedule(
     max_iterations.  A diverging plant aborts the run; the partial record is
     returned rather than raised so ensemble studies can keep the evidence.
     Each step's power flow starts from the previous step's true state, and
-    every step derives its QP from one step_qp_template.
+    every step derives its QP from one step_qp_template and warm-starts it
+    from the active set of the last step whose QP was solved.
     """
     if not schedule:
         raise ControllerError("schedule must contain at least one set point")
@@ -326,6 +334,7 @@ def run_schedule(
     aborted = False
     reason = None
     state = None
+    warm = None
     template = step_qp_template(grid, smap, config.alpha)
 
     for setpoint in schedule:
@@ -335,7 +344,7 @@ def run_schedule(
             try:
                 step, state = closed_loop_step(
                     grid, u, smap, config.alpha, lambda y: grad_cost(y, setpoint), template,
-                    k=k, noise=noise, initial=state,
+                    k=k, noise=noise, initial=state, warm=warm,
                 )
             except PowerFlowError as exc:
                 aborted = True
@@ -343,6 +352,8 @@ def run_schedule(
                 break
             steps.append(step)
             states.append(state)
+            if step.qp_status == "optimal":
+                warm = step.active_set
             k += 1
             if setpoint.distance(state.p_pcc, state.q_pcc) <= config.convergence_tol:
                 seg_converged = True
@@ -390,7 +401,7 @@ def export_trajectory_csv(traj: Trajectory, grid: GridModel, path: str | Path) -
                     repr(float(state.q_pcc)),
                     repr(float(phi)),
                     step.qp_status,
-                    step.active_count,
+                    len(step.active_set),
                 ]
             )
 

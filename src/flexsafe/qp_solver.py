@@ -11,9 +11,19 @@ at a time, dropping blockers whose multiplier would turn negative.  The
 method needs no phase-1 point and certifies infeasibility when neither a
 primal nor a dual step exists.
 
+Online, consecutive problems usually bind the same rows, so solve_qp can
+be warm-started with the previous solution's active set (the hot start of
+online active-set QP: Ferreau, Bock and Diehl 2008).  The guess is tested
+by its equality projection: minimize ||w + g||^2 with the guessed rows held
+at their bounds.  If that point's multipliers are non-negative and it
+satisfies every row, it meets the KKT conditions, which for a strictly
+convex QP make it the unique optimum; otherwise the dual active-set method
+runs from the start as it would unguided.
+
 check_kkt verifies a candidate point against the KKT system through an
-independent route (non-negative least squares on the active gradients) and
-is used to cross-check the solver rather than trusting its own bookkeeping.
+independent route (non-negative least squares on the active gradients).
+The solver does not call it; it is the tests' oracle for the solver's
+points.
 
 A problem whose matrix stays fixed while g and the bounds change (the
 controller's step QP) is built once as a template; with_vectors derives each
@@ -171,6 +181,11 @@ class _Normals:
     tags: list[tuple[int, str]]
     gram: np.ndarray
 
+    @cached_property
+    def rows(self) -> dict[tuple[int, str], int]:
+        """Index of each tag's row in c."""
+        return {tag: i for i, tag in enumerate(self.tags)}
+
 
 @dataclass(frozen=True, eq=False)
 class QPSolution:
@@ -179,7 +194,6 @@ class QPSolution:
     w: np.ndarray
     status: str
     active_set: tuple[tuple[int, str], ...]
-    kkt_residual: float
     iterations: int
 
 
@@ -213,13 +227,59 @@ def _projection_step(c_all: np.ndarray, gram: np.ndarray, active: list[int], p: 
     return r, cp - c_all[active].T @ r
 
 
-def solve_qp(problem: QuadraticProgram, max_iter: int | None = None) -> QPSolution:
-    """Solve the QP; status is "optimal", "infeasible" or "iteration_limit"."""
+def _warm_point(problem: QuadraticProgram, guess: list[int]) -> np.ndarray | None:
+    """The optimum if the rows ``guess`` are its active set, else None.
+
+    Solves the equality projection gram[S, S] lam = b_S + c_S g and forms
+    w = c_S^T lam - g.  The point is returned only when every multiplier is
+    non-negative, w is finite and every row, the guessed ones included,
+    has slack >= -TOL_QP; the guessed rows must also hold within TOL_QP of
+    their bounds, so a badly conditioned slice cannot pass on rounding.
+    """
+    c_all, b_all, _ = problem.expanded
+    c_s = c_all[guess]
+    gram_s = problem._normals.gram[guess][:, guess]
+    try:
+        lam = np.linalg.solve(gram_s, b_all[guess] + c_s @ problem.g)
+    except np.linalg.LinAlgError:
+        return None
+    if not lam.min() >= 0.0:  # also when a multiplier is NaN
+        return None
+    w = c_s.T @ lam - problem.g
+    if not np.isfinite(w).all():
+        return None
+    slack = c_all @ w - b_all
+    if not (slack.min() >= -TOL_QP and slack[guess].max() <= TOL_QP):
+        return None
+    return w
+
+
+def solve_qp(
+    problem: QuadraticProgram,
+    max_iter: int | None = None,
+    warm: tuple[tuple[int, str], ...] | None = None,
+) -> QPSolution:
+    """Solve the QP; status is "optimal", "infeasible" or "iteration_limit".
+
+    ``warm`` guesses the active set as (row, side) tags, typically the
+    previous solution's ``active_set``.  A guess that passes the test of
+    _warm_point gives the optimum at once, counted as one iteration, with
+    the guess as its active set.  An unknown or repeated tag, a singular
+    Gram slice or a failed test falls back to the dual active-set method
+    from the unconstrained minimum, exactly as without a guess.
+    """
     c_all, b_all, tags = problem.expanded
-    gram = problem._normals.gram
+    normals = problem._normals
+    gram = normals.gram
     n_con = c_all.shape[0]
     if max_iter is None:
         max_iter = 50 * (n_con + problem.n_var) + 100
+    if warm and max_iter >= 1:
+        guess = [normals.rows.get(tag, -1) for tag in warm]
+        if -1 not in guess and len(set(guess)) == len(guess):
+            w = _warm_point(problem, guess)
+            if w is not None:
+                return QPSolution(w=w, status="optimal", active_set=tuple(warm), iterations=1)
 
     w = -problem.g.copy()
     active: list[int] = []
@@ -274,13 +334,7 @@ def solve_qp(problem: QuadraticProgram, max_iter: int | None = None) -> QPSoluti
             break
 
     tagged = tuple(tags[i] for i in active) if status == "optimal" else ()
-    if status == "optimal":
-        kkt = check_kkt(problem, w).residual
-    else:
-        kkt = float("inf")
-    return QPSolution(
-        w=w, status=status, active_set=tagged, kkt_residual=kkt, iterations=iterations
-    )
+    return QPSolution(w=w, status=status, active_set=tagged, iterations=iterations)
 
 
 def check_kkt(problem: QuadraticProgram, w: np.ndarray) -> KKTReport:

@@ -152,7 +152,7 @@ def make_trajectory(
             u=zeros,
             u_next=zeros,
             qp_status="optimal",
-            active_count=0,
+            active_set=(),
         )
         for i in range(len(points))
     )

@@ -10,6 +10,7 @@ from flexsafe.for_region import (
     FORError,
     FORPolygon,
     SweepConfig,
+    _Ray,
     _binding_labels,
     _push_rays,
     contains_many,
@@ -188,14 +189,41 @@ def test_read_rejects_foreign_csv(tmp_path):
         read_for_csv(path)
 
 
-def test_lockstep_sweep_equals_each_ray_alone(ring4):
-    """The rays pushed in lockstep give what each gives pushed alone, bit for bit."""
+def _record_ray_guesses(monkeypatch) -> dict:
+    """Per ray angle, each step's (warm-start guess, step QP active set)."""
+    recorded: dict = {}
+    init, advance = _Ray.__init__, _Ray.advance
+
+    def recording_init(self, grid, smap, theta, config):
+        init(self, grid, smap, theta, config)
+        self.recorded = recorded.setdefault(theta, [])
+
+    def recording_advance(self, step):
+        self.recorded.append((self.active_set, step.active_set))
+        return advance(self, step)
+
+    monkeypatch.setattr(_Ray, "__init__", recording_init)
+    monkeypatch.setattr(_Ray, "advance", recording_advance)
+    return recorded
+
+
+def test_lockstep_sweep_equals_each_ray_alone(ring4, monkeypatch):
+    """The rays pushed in lockstep give what each gives pushed alone, bit for bit.
+
+    Each ray warm-starts its step QPs from its own last active set, so its
+    guesses are those of the ray pushed alone.
+    """
     smap = compute_sensitivity(ring4)
     config = SweepConfig(n_angles=6)
+    recorded = _record_ray_guesses(monkeypatch)
     polygon = sweep_for(ring4, smap=smap, config=config)
     assert polygon.n_vertices == 6
+    lockstep = dict(recorded)
     for i, theta in enumerate(polygon.angles):
+        recorded.clear()
         ((u, state),) = _push_rays(ring4, smap, [theta], config)
+        assert recorded[theta] == lockstep[theta]
+        assert sum(guess == tags for guess, tags in recorded[theta]) > len(recorded[theta]) / 2
         assert np.array_equal(polygon.controls[i], u)
         assert tuple(polygon.vertices[i]) == (state.p_pcc, state.q_pcc)
         assert polygon.binding[i] == _binding_labels(ring4, u, state)

@@ -5,6 +5,8 @@ import csv
 import numpy as np
 import pytest
 
+from flexsafe import ofo_controller
+from flexsafe.for_region import SweepConfig, sweep_for
 from flexsafe.ofo_controller import (
     ControllerConfig,
     SetPoint,
@@ -18,7 +20,7 @@ from flexsafe.ofo_controller import (
 )
 from flexsafe.grid_model import apply_control
 from flexsafe.power_flow import PowerFlowError, measure, solve_power_flow
-from flexsafe.qp_solver import QuadraticProgram, solve_qp
+from flexsafe.qp_solver import QuadraticProgram, check_kkt, solve_qp
 from flexsafe.sensitivity import compute_sensitivity
 
 from conftest import assert_same_state
@@ -259,39 +261,87 @@ def test_config_validation():
         ControllerConfig(alpha=0.1, convergence_tol=-1.0)
 
 
-def test_stacked_step_members_equal_their_own_steps(ring4, ring4_map):
-    """One kernel step over members with their own gains, templates and costs.
+def test_stacked_step_members_equal_their_own_steps(ring4, ring4_map, monkeypatch):
+    """One kernel step over members with their own gains, templates, costs and guesses.
 
     Each member's record and plant state are bit for bit its one-member
-    step; a member whose plant fails gets the error its own step raises,
-    and the others go on.
+    step with the same warm-start guess; a member whose plant fails gets
+    the error its own step raises, and the others go on.
     """
     lower, upper = ring4.control_bounds()
-    u = np.random.default_rng(8).uniform(lower, upper, size=(4, lower.size))
+    u = np.random.default_rng(8).uniform(lower, upper, size=(5, lower.size))
     u[3, 0] = np.nan
-    alphas = [0.05, 0.1, 0.2, 0.1]
-    targets = [SetPoint(0.2, 0.1), SetPoint(-0.1, 0.0), SetPoint(0.3, -0.2), SetPoint(0.0, 0.0)]
+    u[4] = u[2]
+    alphas = [0.05, 0.1, 0.2, 0.1, 0.2]
+    targets = [SetPoint(0.2, 0.1), SetPoint(-0.1, 0.0), SetPoint(0.3, -0.2), SetPoint(0.0, 0.0),
+               SetPoint(0.3, -0.2)]
     gradients = [lambda y, target=target: grad_cost(y, target) for target in targets]
     templates = [step_qp_template(ring4, ring4_map, alpha) for alpha in alphas]
     initial = solve_power_flow(ring4, control=0.9 * np.nan_to_num(u))
+    # No guess, the member's own cold active set, a wrong one and a repeated one.
+    own, _ = closed_loop_step(ring4, u[2], ring4_map, alphas[2], gradients[2], templates[2])
+    assert own.active_set
+    warm = [None, ((0, "lower"), (9, "upper")), own.active_set, ((1, "upper"),), 2 * own.active_set]
+    solved = _record_step_qps(monkeypatch)
     steps, states = closed_loop_step(
-        ring4, u, ring4_map, alphas, gradients, templates, k=5, initial=initial
+        ring4, u, ring4_map, alphas, gradients, templates, k=5, initial=initial, warm=warm
     )
-    assert len(steps) == len(states) == 4
-    for i in range(4):
+    assert [guess for _, guess, _ in solved] == [warm[i] for i in (0, 1, 2, 4)]
+    assert solved[2][2].iterations == 1 < solved[3][2].iterations  # hit, then fallback
+    assert len(steps) == len(states) == 5
+    for i in range(5):
         args = (ring4, u[i], ring4_map, alphas[i], gradients[i], templates[i])
         if i == 3:
             with pytest.raises(PowerFlowError) as exc:
-                closed_loop_step(*args, k=5, initial=initial[i])
+                closed_loop_step(*args, k=5, initial=initial[i], warm=warm[i])
             assert isinstance(steps[i], PowerFlowError) and str(steps[i]) == str(exc.value)
             continue
-        step, state = closed_loop_step(*args, k=5, initial=initial[i])
+        step, state = closed_loop_step(*args, k=5, initial=initial[i], warm=warm[i])
         got = steps[i]
         for name in ("w", "u", "u_next"):
             assert np.array_equal(getattr(got, name), getattr(step, name)), name
         assert np.array_equal(got.y.values, step.y.values)
-        assert (got.k, got.qp_status, got.active_count) == (step.k, step.qp_status, step.active_count)
+        assert (got.k, got.qp_status, got.active_set) == (step.k, step.qp_status, step.active_set)
         assert_same_state(states[i], state)
+    # Members 2 and 4 take the same step: a hit and a fallback agree on the optimum.
+    assert steps[2].active_set == steps[4].active_set == own.active_set
+    assert np.max(np.abs(steps[2].w - steps[4].w)) <= 1e-12
+
+
+def _record_step_qps(monkeypatch) -> list:
+    """(problem, guess, solution) of every step QP the kernel solves."""
+    solved = []
+
+    def recording(problem, max_iter=None, warm=None):
+        solution = solve_qp(problem, max_iter, warm)
+        solved.append((problem, warm, solution))
+        return solution
+
+    monkeypatch.setattr(ofo_controller, "solve_qp", recording)
+    return solved
+
+
+@pytest.mark.parametrize("loop", ["ring4 sweep", "synth30 run"])
+def test_every_solved_step_qp_passes_the_kkt_check(loop, ring4, synth30, monkeypatch):
+    """The independent KKT check accepts each optimal step QP, solved warm or cold."""
+    solved = _record_step_qps(monkeypatch)
+    if loop == "ring4 sweep":
+        assert sweep_for(ring4, config=SweepConfig(n_angles=6)).n_vertices == 6
+    else:
+        # The flows at two box corners: reaching them binds the control box.
+        schedule = []
+        for corner in synth30.control_bounds():
+            state = solve_power_flow(synth30, control=corner)
+            schedule.append(SetPoint(state.p_pcc, state.q_pcc))
+        smap = compute_sensitivity(synth30)
+        run_schedule(synth30, smap, schedule, ControllerConfig(alpha=0.05, max_iterations=200))
+    optimal = [(p, warm, sol) for p, warm, sol in solved if sol.status == "optimal"]
+    hits = sum(
+        bool(warm) and sol.iterations == 1 and sol.active_set == warm for _, warm, sol in optimal
+    )
+    assert 0 < hits < len(optimal)
+    for problem, _, solution in optimal:
+        assert check_kkt(problem, solution.w).residual < 1e-8
 
 
 def test_noise_drives_one_member_only(ring4, ring4_map, config):

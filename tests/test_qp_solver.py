@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -37,11 +37,12 @@ def box(g, lower, upper):
 
 
 def test_inactive_constraints_give_unconstrained_minimum():
-    sol = solve_qp(box([3.0, -4.0], [-10, -10], [10, 10]))
+    problem = box([3.0, -4.0], [-10, -10], [10, 10])
+    sol = solve_qp(problem)
     assert sol.status == "optimal"
     assert np.allclose(sol.w, [-3.0, 4.0], atol=1e-12)
     assert sol.active_set == ()
-    assert sol.kkt_residual < 1e-10
+    assert check_kkt(problem, sol.w).residual < 1e-10
 
 
 def test_box_projection_is_clip():
@@ -50,10 +51,11 @@ def test_box_projection_is_clip():
         g = rng.normal(size=4) * 3
         lower = -rng.uniform(0.1, 2.0, size=4)
         upper = rng.uniform(0.1, 2.0, size=4)
-        sol = solve_qp(box(g, lower, upper))
+        problem = box(g, lower, upper)
+        sol = solve_qp(problem)
         assert sol.status == "optimal"
         assert np.allclose(sol.w, np.clip(-g, lower, upper), atol=1e-10)
-        assert sol.kkt_residual < 1e-8
+        assert check_kkt(problem, sol.w).residual < 1e-8
 
 
 def test_halfspace_projection_closed_form():
@@ -94,7 +96,7 @@ def test_infeasible_rows_detected():
     )
     sol = solve_qp(problem)
     assert sol.status == "infeasible"
-    assert not np.isfinite(sol.kkt_residual)
+    assert sol.active_set == ()
 
 
 def test_active_set_tags_name_the_binding_side():
@@ -139,7 +141,7 @@ def test_matches_lattice_oracle(lattice_points, n_active):
         assert np.max(np.abs(sol.w - w_star)) <= 1e-8
         brute = lattice_argmin(problem, lattice_points)
         assert np.max(np.abs(sol.w - brute)) <= LATTICE_SPACING
-        assert sol.kkt_residual < 1e-8
+        assert check_kkt(problem, sol.w).residual < 1e-8
 
 
 def test_lattice_oracle_matches_brute_force(lattice_points):
@@ -263,7 +265,7 @@ def test_iteration_cap_reported():
     sol = solve_qp(problem, max_iter=1)
     assert sol.status in ("optimal", "iteration_limit")
     if sol.status == "iteration_limit":
-        assert not np.isfinite(sol.kkt_residual)
+        assert sol.active_set == ()
 
 
 # Zero or a magnitude in [1e-3, 10]: the instances stay far from singular.
@@ -452,3 +454,110 @@ def test_with_vectors_checks_the_new_vectors():
         template.with_vectors(np.zeros(3), template.lower, template.upper)
     with pytest.raises(QPError, match="exceeds upper"):
         template.with_vectors(np.zeros(2), np.ones(2), np.zeros(2))
+
+
+def _problem(data, n, m):
+    """A strictly convex instance with m rows on n variables, some sides infinite."""
+    a = data.draw(arrays(np.float64, (m, n), elements=ENTRY))
+    lower, upper = _bounds(data, m)
+    g = data.draw(arrays(np.float64, (n,), elements=ENTRY))
+    return QuadraticProgram(g=g, a=a, lower=lower, upper=upper)
+
+
+def _same_solution(sol, ref):
+    assert sol.status == ref.status
+    assert np.array_equal(sol.w, ref.w)
+    assert sol.active_set == ref.active_set
+    assert sol.iterations == ref.iterations
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), m=st.integers(1, 8))
+def test_warm_start_from_the_own_active_set_hits(data, n, m):
+    """Guessing the cold solve's own active set returns its optimum in one iteration.
+
+    The instances are strictly complementary and well conditioned.  A
+    multiplier that is zero at the optimum may come out of the warm test a
+    rounding below zero, and nearly dependent active normals amplify the
+    two routes' different rounding to more than the 1e-12 compared here;
+    either way the warm solve falls back to, or stays near, the cold one,
+    which the next test checks for any guess.
+    """
+    problem = _problem(data, n, m)
+    cold = solve_qp(problem)
+    assume(cold.status == "optimal" and cold.active_set)
+    c, b, tags = problem.expanded
+    rows = [tags.index(tag) for tag in cold.active_set]
+    gram = c[rows] @ c[rows].T
+    lam = np.linalg.solve(gram, b[rows] + c[rows] @ problem.g)
+    assume(np.linalg.cond(gram) <= 100.0 and lam.min() >= 1e-6)
+    assume(np.max(np.abs(cold.w)) <= 10.0)
+    warm = solve_qp(problem, warm=cold.active_set)
+    assert warm.iterations == 1
+    assert (warm.status, warm.active_set) == (cold.status, cold.active_set)
+    assert np.max(np.abs(warm.w - cold.w)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 4),
+    m=st.integers(1, 8),
+    kind=st.sampled_from(["random", "duplicated", "dependent"]),
+)
+def test_warm_start_from_any_guess_gives_the_cold_solution(data, n, m, kind):
+    """A wrong, repeated or dependent guess falls back to the cold solve bit for bit.
+
+    A guess that passes the warm test is an optimal active set, so it may
+    only return the cold optimum, up to rounding.
+    """
+    problem = _problem(data, n, m)
+    tags = problem.expanded[2]
+    known = st.sampled_from(tags) if tags else st.nothing()
+    unknown = st.sampled_from([(m, "lower"), (-1, "upper"), (0, "middle")])
+    if kind == "random":
+        guess = data.draw(st.lists(st.one_of(known, unknown), min_size=1, max_size=4))
+    elif kind == "duplicated":
+        guess = data.draw(st.lists(st.one_of(known, unknown), min_size=1, max_size=3))
+        guess.insert(data.draw(st.integers(0, len(guess))), data.draw(st.sampled_from(guess)))
+    else:
+        # More rows than variables, or both sides of one row: dependent normals.
+        assume(len(tags) > n)
+        guess = data.draw(st.lists(known, min_size=n + 1, max_size=len(tags), unique=True))
+    cold = solve_qp(problem)
+    sol = solve_qp(problem, warm=tuple(guess))
+    hit = sol.iterations == 1 and sol.active_set == tuple(guess)
+    event(f"{kind} guess {'hit' if hit else 'fell back'}")
+    if hit:
+        assert kind != "duplicated"
+        assert sol.status == cold.status == "optimal"
+        assert np.max(np.abs(sol.w - cold.w)) <= 1e-12
+        assert check_kkt(problem, sol.w).residual < 1e-8
+    else:
+        _same_solution(sol, cold)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 4),
+    m=st.integers(0, 6),
+    gap=st.floats(1e-3, 1.0),
+)
+def test_infeasible_instance_stays_infeasible_under_any_guess(data, n, m, gap):
+    """Two rows along one normal that no point satisfies both of, plus random rows."""
+    normal = data.draw(arrays(np.float64, (n,), elements=MAGNITUDE))
+    bound = data.draw(ENTRY)
+    a = np.vstack([data.draw(arrays(np.float64, (m, n), elements=ENTRY)), normal, normal])
+    lower, upper = _bounds(data, m)
+    problem = QuadraticProgram(
+        g=data.draw(arrays(np.float64, (n,), elements=ENTRY)),
+        a=a,
+        lower=np.append(lower, [bound + gap, -np.inf]),
+        upper=np.append(upper, [np.inf, bound]),
+    )
+    tags = problem.expanded[2]
+    guess = data.draw(st.lists(st.sampled_from(tags), min_size=1, max_size=4))
+    cold = solve_qp(problem)
+    assert cold.status == "infeasible"
+    _same_solution(solve_qp(problem, warm=tuple(guess)), cold)
