@@ -75,7 +75,6 @@ from flexsafe.trajectory_analysis import (
     Witness,
     classify,
     coverage_metric,
-    export_verdict_json,
     robustness_verdict,
     wilson_interval,
 )

@@ -60,9 +60,10 @@ REGION_STAMP = "for_region.sha256"
 
 
 def _write_json(payload: dict, path: Path) -> None:
+    """Write payload as strict JSON: a NaN or infinity raises ValueError and writes nothing."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _out_dir(sc: ScenarioConfig, args) -> Path:
@@ -122,11 +123,10 @@ def _cmd_for(args) -> int:
     export_sensitivity_csv(smap, out / "sensitivity.csv")
 
     sample = sample_oracle_for(sc.grid, sc.oracle_samples, _effective_seed(sc, args))
-    if sample.n_feasible:
-        inside = contains_many(polygon, sample.points, tol=1e-3)
-        inside_fraction = float(inside.mean())
-    else:
-        inside_fraction = float("nan")
+    # With no feasible sample there is nothing to test: null, as coverage is.
+    inside_fraction = (
+        float(contains_many(polygon, sample.points, tol=1e-3).mean()) if sample.n_feasible else None
+    )
     summary = {
         "config_hash": sc.config_hash,
         "grid": sc.grid_path.name,
@@ -146,10 +146,8 @@ def _cmd_for(args) -> int:
         f"region: {polygon.n_vertices} vertices, area {polygon.area:.6g}, "
         f"{len(polygon.failures)} failed angles"
     )
-    print(
-        f"oracle: {sample.n_feasible}/{sample.n_requested} feasible, "
-        f"{inside_fraction:.2%} inside at tol 1e-3"
-    )
+    tested = "none to test" if inside_fraction is None else f"{inside_fraction:.2%} inside at tol 1e-3"
+    print(f"oracle: {sample.n_feasible}/{sample.n_requested} feasible, {tested}")
     print(f"wrote {out / REGION_CSV}")
     return 0
 

@@ -34,7 +34,7 @@ from flexsafe.power_flow import (
     measure,
     solve_power_flow,
 )
-from flexsafe.qp_solver import QuadraticProgram, solve_qp
+from flexsafe.qp_solver import QuadraticProgram, derive_stack, solve_qp, solve_qp_stack
 
 
 class ControllerError(Exception):
@@ -200,9 +200,10 @@ def build_step_qp(
 
     With a (K, n_u) stack of controls, a stack of K measurements, a
     (K, n_y) stack of gradients and one template per member, returns one
-    QP per member.  The offsets are formed for the whole stack; each
-    member's 2 M^T grad_phi is its own matrix-vector product, so a
-    member's bits do not depend on its companions.
+    QP per member (see derive_stack).  The offsets and the vectors
+    2 M^T grad_phi are formed and checked for the whole stack; np.matmul
+    makes one matrix-vector product per member, so a member's bits do not
+    depend on its companions.
     """
     lower_u, upper_u = grid.control_bounds()
     lower = np.concatenate([lower_u - u, grid.v_min - y.v, -y.s], axis=-1)
@@ -210,10 +211,7 @@ def build_step_qp(
     m_t = smap.matrix.T
     if u.ndim == 1:
         return template.with_vectors(2.0 * (m_t @ grad_phi), lower, upper)
-    return [
-        t.with_vectors(2.0 * (m_t @ grad), low, up)
-        for t, grad, low, up in zip(template, grad_phi, lower, upper)
-    ]
+    return derive_stack(template, 2.0 * np.matmul(m_t, grad_phi[..., None])[..., 0], lower, upper)
 
 
 def closed_loop_step(
@@ -244,11 +242,13 @@ def closed_loop_step(
     ``alpha``, ``gradient``, ``template`` and ``warm`` (if given) then hold
     one entry per member, ``initial`` is a StateStack, and ``noise`` may
     drive a stack of one only.  The plant is solved as one stack, and the
-    measurements, QP offsets and clip are formed for the whole stack; each
-    member's cost gradient, QP and guess are its own.  Returns, per member,
-    its OFOStep or the PowerFlowError that stopped it, and the StateStack.
-    A member's results are bit for bit those of its own one-member step;
-    one control vector is the one-member case.
+    measurements, step QPs (build_step_qp) and clip are formed for the
+    whole stack; solve_qp_stack runs every member's warm test at once and
+    solves each miss cold on its own.  Each member's cost gradient, QP and
+    guess are its own.  Returns, per member, its OFOStep or the
+    PowerFlowError that stopped it, and the StateStack.  A member's results
+    are bit for bit those of its own one-member step; one control vector is
+    the one-member case.
     """
     u = np.asarray(u, dtype=float)
     single = u.ndim == 1
@@ -261,9 +261,10 @@ def closed_loop_step(
             raise PowerFlowError(
                 f"plant power flow diverged at iteration {k} (mismatch {states.mismatch:.3e})"
             )
-        u_live, alphas, guesses = u[None], (alpha,), (warm,)
+        u_live, alphas = u[None], (alpha,)
         members = [measure(states, noise.measurement_noise(k) if noise is not None else None)]
-        problems = [build_step_qp(u, members[0], smap, grid, gradient(members[0]), template)]
+        problem = build_step_qp(u, members[0], smap, grid, gradient(members[0]), template)
+        solutions = [solve_qp(problem, warm=warm)]
     else:
         results: list[OFOStep | PowerFlowError | None] = [None] * len(u)
         for i in np.flatnonzero(~states.converged):
@@ -277,9 +278,9 @@ def closed_loop_step(
         guesses = [None] * len(live) if warm is None else [warm[i] for i in live]
         ys = measure(states.take(live))
         members = [MeasurementVector(row.copy(), ys.n_bus, ys.n_branch) for row in ys.values]
-        grad_phi = np.array([gradient[i](y) for i, y in zip(live, members)])
+        grad_phi = np.reshape([gradient[i](y) for i, y in zip(live, members)], ys.values.shape)
         problems = build_step_qp(u_live, ys, smap, grid, grad_phi, [template[i] for i in live])
-    solutions = [solve_qp(problem, warm=guess) for problem, guess in zip(problems, guesses)]
+        solutions = solve_qp_stack(problems, guesses)
     w = [sol.w if sol.status == "optimal" else np.zeros(u.shape[-1]) for sol in solutions]
     if w:  # some member's plant solved
         stepped = (u_live + np.array(alphas)[:, None] * np.array(w)).clip(*grid.control_bounds())

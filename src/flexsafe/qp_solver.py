@@ -29,6 +29,13 @@ A problem whose matrix stays fixed while g and the bounds change (the
 controller's step QP) is built once as a template; with_vectors derives each
 instance from it and shares the one-sided normals and their Gram matrix, so
 only the vectors are checked and expanded per solve.
+
+Lockstep loops solve a stack of such problems, one per member, each from
+its own template.  derive_stack checks the stack's vectors once and derives
+every member; solve_qp_stack runs the warm test for the whole stack and
+sends each member that misses to the cold method alone.  with_vectors and
+solve_qp's warm test are the one-member cases of the same code, so a
+member's solution does not depend on the stack it is solved in.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -74,27 +82,10 @@ class QuadraticProgram:
         object.__setattr__(self, "a", a)
         if not np.all(np.isfinite(a)):
             raise QPError("constraint matrix has non-finite entries")
-        self._set_vectors(self.g, self.lower, self.upper)
-
-    def _set_vectors(self, g, lower, upper) -> None:
-        """Store and check g and the bounds against the matrix."""
-        g = np.asarray(g, dtype=float)
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        if g.ndim != 1:
-            raise QPError(f"g must be a vector, got shape {g.shape}")
-        if not np.isfinite(g).all():
-            raise QPError("g has non-finite entries")
-        if self.a.shape[1] != g.size:
-            raise QPError(f"a has {self.a.shape[1]} columns for a {g.size}-dim w")
-        if lower.shape != (self.a.shape[0],) or upper.shape != (self.a.shape[0],):
-            raise QPError("bound vectors must have one entry per constraint row")
-        if (lower > upper).any():
-            bad = int(np.argmax(lower > upper))
-            raise QPError(f"row {bad}: lower bound {lower[bad]} exceeds upper {upper[bad]}")
+        g, lower, upper = _checked_vectors([a], *_one_member(self.g, self.lower, self.upper))
+        object.__setattr__(self, "g", g[0])
+        object.__setattr__(self, "lower", lower[0])
+        object.__setattr__(self, "upper", upper[0])
 
     def with_vectors(self, g, lower, upper) -> "QuadraticProgram":
         """This problem's matrix with a new g and new bounds.
@@ -103,15 +94,10 @@ class QuadraticProgram:
         matrix is not checked again.  When the same bounds are finite, the
         one-sided normals and their Gram matrix are shared with this
         problem, so they are built once for every problem derived from it;
-        otherwise they are expanded afresh.
+        otherwise they are expanded afresh.  The one-member case of
+        derive_stack.
         """
-        derived = object.__new__(QuadraticProgram)
-        object.__setattr__(derived, "a", self.a)
-        derived._set_vectors(g, lower, upper)
-        normals = self._normals
-        if (np.isfinite(derived._sides) == normals.finite).all():
-            # cached_property reads the instance dict first.
-            derived.__dict__["_normals"] = normals
+        (derived,) = derive_stack([self], *_one_member(g, lower, upper))
         return derived
 
     @property
@@ -119,12 +105,13 @@ class QuadraticProgram:
         return self.g.size
 
     @cached_property
-    def _sides(self) -> np.ndarray:
-        """Bounds interleaved per row: [lower_0, upper_0, lower_1, upper_1, ...]."""
-        sides = np.empty(2 * self.a.shape[0])
-        sides[0::2] = self.lower
-        sides[1::2] = self.upper
-        return sides
+    def _offsets(self) -> np.ndarray:
+        """Offsets b of the one-sided rows c @ w >= b, interleaved per row.
+
+        [lower_0, -upper_0, lower_1, -upper_1, ...]; an infinite offset
+        gives no row.
+        """
+        return _interleaved_offsets(self.lower[None], self.upper[None])[0]
 
     @cached_property
     def _normals(self) -> "_Normals":
@@ -133,7 +120,7 @@ class QuadraticProgram:
         Raises QPError if their Gram matrix is not finite, as when huge rows
         overflow; the solver could only return garbage from it.
         """
-        finite = np.isfinite(self._sides)
+        finite = np.isfinite(self._offsets)
         keep = np.flatnonzero(finite)
         row, upper = keep >> 1, keep & 1
         flip = upper.astype(bool)
@@ -146,7 +133,7 @@ class QuadraticProgram:
             raise QPError("the constraint rows are too large: their Gram matrix overflows")
         gram.flags.writeable = False
         tags = [(r, _SIDES[s]) for r, s in zip(row.tolist(), upper.tolist())]
-        return _Normals(finite=finite, keep=keep, flip=flip, c=c, tags=tags, gram=gram)
+        return _Normals(finite=finite, keep=keep, c=c, tags=tags, gram=gram)
 
     @cached_property
     def expanded(self) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
@@ -157,9 +144,7 @@ class QuadraticProgram:
         side; infinite bounds give no row.  Built once per problem.
         """
         normals = self._normals
-        b = self._sides[normals.keep]
-        b[normals.flip] = -b[normals.flip]
-        return normals.c, b, normals.tags
+        return normals.c, self._offsets[normals.keep], normals.tags
 
     def objective(self, w: np.ndarray) -> float:
         return float(np.sum((np.asarray(w, dtype=float) + self.g) ** 2))
@@ -169,14 +154,13 @@ class QuadraticProgram:
 class _Normals:
     """One-sided rows c_i @ w >= b_i without their offsets b_i.
 
-    ``finite`` marks the interleaved bound sides that give a row, ``keep``
-    lists them and ``flip`` marks the upper sides, whose normal is negated;
-    ``gram`` is c @ c.T, which the solver slices on every inner step.
+    ``finite`` marks the interleaved bound sides that give a row and
+    ``keep`` lists them; an upper side's normal is negated.  ``gram`` is
+    c @ c.T, which the solver slices on every inner step.
     """
 
     finite: np.ndarray
     keep: np.ndarray
-    flip: np.ndarray
     c: np.ndarray
     tags: list[tuple[int, str]]
     gram: np.ndarray
@@ -185,6 +169,70 @@ class _Normals:
     def rows(self) -> dict[tuple[int, str], int]:
         """Index of each tag's row in c."""
         return {tag: i for i, tag in enumerate(self.tags)}
+
+
+def _one_member(g, lower, upper) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One problem's g and bounds as a stack of one; g must be a vector."""
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 1:
+        raise QPError(f"g must be a vector, got shape {g.shape}")
+    return g[None], np.asarray(lower, dtype=float)[None], np.asarray(upper, dtype=float)[None]
+
+
+def _checked_vectors(matrices: Sequence[np.ndarray], g, lower, upper):
+    """g (K, n) and the bounds (K, rows) as float arrays, row j checked against matrices[j].
+
+    A bad stack raises the QPError that a bad member's own constructor
+    raises.
+    """
+    g, lower, upper = (np.asarray(x, dtype=float) for x in (g, lower, upper))
+    if g.ndim != 2 or len(g) != len(matrices):
+        raise QPError(f"g must be a stack of {len(matrices)} vectors, got shape {g.shape}")
+    if not np.isfinite(g).all():
+        raise QPError("g has non-finite entries")
+    for shape in {a.shape for a in matrices}:
+        if shape[1] != g.shape[1]:
+            raise QPError(f"a has {shape[1]} columns for a {g.shape[1]}-dim w")
+        if lower.shape != (len(g), shape[0]) or upper.shape != lower.shape:
+            raise QPError("bound vectors must have one entry per constraint row")
+    crossed = lower > upper
+    if crossed.any():
+        j, bad = np.argwhere(crossed)[0]
+        raise QPError(f"row {bad}: lower bound {lower[j, bad]} exceeds upper {upper[j, bad]}")
+    return g, lower, upper
+
+
+def _interleaved_offsets(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Per member, [lower_0, -upper_0, lower_1, -upper_1, ...] (see _offsets)."""
+    offsets = np.empty((len(lower), 2 * lower.shape[1]))
+    offsets[:, 0::2] = lower
+    offsets[:, 1::2] = -upper
+    return offsets
+
+
+def derive_stack(templates: Sequence[QuadraticProgram], g, lower, upper) -> list[QuadraticProgram]:
+    """with_vectors for a stack: templates[j]'s matrix with row j of g, lower and upper.
+
+    The (K, n) g and (K, rows) bounds are checked once for the whole
+    stack, with the messages of the constructor.  Member j shares the
+    normals of templates[j] when its finite bounds are the template's.
+    """
+    g, lower, upper = _checked_vectors([t.a for t in templates], g, lower, upper)
+    normals = [t._normals for t in templates]
+    offsets = _interleaved_offsets(lower, upper)
+    finite = np.array([n.finite for n in normals]).reshape(offsets.shape)
+    shared = (np.isfinite(offsets) == finite).all(axis=1)
+    problems = []
+    for j, template in enumerate(templates):
+        derived = object.__new__(QuadraticProgram)
+        # Frozen: fill the instance dict, which cached_property reads first.
+        derived.__dict__.update(
+            a=template.a, g=g[j], lower=lower[j], upper=upper[j], _offsets=offsets[j]
+        )
+        if shared[j]:
+            derived.__dict__["_normals"] = normals[j]
+        problems.append(derived)
+    return problems
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,31 +275,76 @@ def _projection_step(c_all: np.ndarray, gram: np.ndarray, active: list[int], p: 
     return r, cp - c_all[active].T @ r
 
 
-def _warm_point(problem: QuadraticProgram, guess: list[int]) -> np.ndarray | None:
-    """The optimum if the rows ``guess`` are its active set, else None.
+def _warm_points(
+    problems: Sequence[QuadraticProgram], guesses: Sequence[tuple | None]
+) -> list[np.ndarray | None]:
+    """Per problem, its optimum if the tagged rows of its guess are its active set, else None.
 
-    Solves the equality projection gram[S, S] lam = b_S + c_S g and forms
-    w = c_S^T lam - g.  The point is returned only when every multiplier is
-    non-negative, w is finite and every row, the guessed ones included,
-    has slack >= -TOL_QP; the guessed rows must also hold within TOL_QP of
-    their bounds, so a badly conditioned slice cannot pass on rounding.
+    A guess is tested by its equality projection: solve
+    gram[S, S] lam = b_S + c_S g and form w = c_S^T lam - g.  The point is
+    returned only when every multiplier is non-negative (NaN fails), w is
+    finite and every row, the guessed ones included, has slack >= -TOL_QP;
+    the guessed rows must also hold within TOL_QP of their bounds, so a
+    badly conditioned slice cannot pass on rounding.  An empty guess, an
+    unknown or repeated tag or a singular slice gives None.
+
+    Members whose guesses have one size and whose problems have one shape
+    are tested as one stack: one np.linalg.solve for the multipliers and
+    one np.matmul each for the right-hand sides, w and the slacks.  Both
+    make one LAPACK or BLAS call per member, the call a one-member stack
+    makes, so a member's bits do not depend on the stack it is in.
     """
-    c_all, b_all, _ = problem.expanded
-    c_s = c_all[guess]
-    gram_s = problem._normals.gram[guess][:, guess]
+    points: list[np.ndarray | None] = [None] * len(problems)
+    groups: dict[tuple, list[tuple[int, list[int]]]] = {}
+    for j, (problem, guess) in enumerate(zip(problems, guesses)):
+        if not guess:
+            continue
+        index = problem._normals.rows
+        rows = [index.get(tag, -1) for tag in guess]
+        if -1 not in rows and len(set(rows)) == len(rows):
+            groups.setdefault((len(rows), problem._normals.c.shape), []).append((j, rows))
+    for members in groups.values():
+        stack = [problems[j] for j, _ in members]
+        rows = np.array([r for _, r in members])
+        k = np.arange(len(stack))[:, None]
+        c = np.array([p.expanded[0] for p in stack])
+        b = np.array([p.expanded[1] for p in stack])
+        gram = np.array([p._normals.gram for p in stack])
+        g = np.array([p.g for p in stack])
+        c_s = c[k, rows]
+        gram_s = gram[k[..., None], rows[..., None], rows[:, None]]
+        lam = _solve_each(gram_s, b[k, rows] + np.matmul(c_s, g[..., None])[..., 0])
+        dual = (lam >= 0.0).all(axis=1)  # NaN fails
+        if not dual.any():  # where most misses on noisy traffic end
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.matmul(c_s.transpose(0, 2, 1), lam[..., None])[..., 0] - g
+            slack = np.matmul(c, w[..., None])[..., 0] - b
+        primal = [np.isfinite(w), slack >= -TOL_QP, slack[k, rows] <= TOL_QP]
+        hits = dual & np.concatenate(primal, axis=1).all(axis=1)
+        for (j, _), w_j, hit in zip(members, w, hits):
+            if hit:
+                points[j] = w_j
+    return points
+
+
+def _solve_each(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lam[j] with gram[j] lam[j] = rhs[j]; NaN for a member whose gram[j] is singular.
+
+    np.linalg.solve raises for the whole stack if one matrix is singular,
+    so then each member is solved alone, with the same LAPACK call as in
+    the stack.
+    """
     try:
-        lam = np.linalg.solve(gram_s, b_all[guess] + c_s @ problem.g)
+        return np.linalg.solve(gram, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return None
-    if not lam.min() >= 0.0:  # also when a multiplier is NaN
-        return None
-    w = c_s.T @ lam - problem.g
-    if not np.isfinite(w).all():
-        return None
-    slack = c_all @ w - b_all
-    if not (slack.min() >= -TOL_QP and slack[guess].max() <= TOL_QP):
-        return None
-    return w
+        lam = np.full_like(rhs, np.nan)
+        for j in range(len(rhs)):
+            try:
+                lam[j] = np.linalg.solve(gram[j : j + 1], rhs[j : j + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return lam
 
 
 def solve_qp(
@@ -263,23 +356,21 @@ def solve_qp(
 
     ``warm`` guesses the active set as (row, side) tags, typically the
     previous solution's ``active_set``.  A guess that passes the test of
-    _warm_point gives the optimum at once, counted as one iteration, with
-    the guess as its active set.  An unknown or repeated tag, a singular
-    Gram slice or a failed test falls back to the dual active-set method
-    from the unconstrained minimum, exactly as without a guess.
+    _warm_points, here for a stack of one, gives the optimum at once,
+    counted as one iteration, with the guess as its active set.  An
+    unknown or repeated tag, a singular Gram slice or a failed test falls
+    back to the dual active-set method from the unconstrained minimum,
+    exactly as without a guess.
     """
     c_all, b_all, tags = problem.expanded
-    normals = problem._normals
-    gram = normals.gram
+    gram = problem._normals.gram
     n_con = c_all.shape[0]
     if max_iter is None:
         max_iter = 50 * (n_con + problem.n_var) + 100
     if warm and max_iter >= 1:
-        guess = [normals.rows.get(tag, -1) for tag in warm]
-        if -1 not in guess and len(set(guess)) == len(guess):
-            w = _warm_point(problem, guess)
-            if w is not None:
-                return QPSolution(w=w, status="optimal", active_set=tuple(warm), iterations=1)
+        (w,) = _warm_points([problem], [warm])
+        if w is not None:
+            return QPSolution(w=w, status="optimal", active_set=tuple(warm), iterations=1)
 
     w = -problem.g.copy()
     active: list[int] = []
@@ -313,10 +404,12 @@ def solve_qp(
             t_primal = np.inf if zz < _ZERO_DIR else -s_p / zz
             t_dual = np.inf
             drop = -1
-            for idx, rj in enumerate(r):
-                if rj > _ZERO_DIR and lam[idx] / rj < t_dual:
-                    t_dual = lam[idx] / rj
-                    drop = idx
+            # A ratio past the float range is inf: no blocker, and no warning.
+            with np.errstate(over="ignore"):
+                for idx, rj in enumerate(r):
+                    if rj > _ZERO_DIR and lam[idx] / rj < t_dual:
+                        t_dual = lam[idx] / rj
+                        drop = idx
             step = min(t_primal, t_dual)
             if not np.isfinite(step):
                 status = "infeasible"
@@ -335,6 +428,24 @@ def solve_qp(
 
     tagged = tuple(tags[i] for i in active) if status == "optimal" else ()
     return QPSolution(w=w, status=status, active_set=tagged, iterations=iterations)
+
+
+def solve_qp_stack(
+    problems: Sequence[QuadraticProgram], warm: Sequence[tuple | None]
+) -> list[QPSolution]:
+    """solve_qp(problem, warm=guess) for each problem and its guess.
+
+    The warm test of solve_qp runs once for the whole stack; a member
+    whose guess misses goes to the cold solve_qp(problem).  Each member's
+    solution is bit for bit that of its own solve_qp(problem, warm=guess).
+    """
+    points = _warm_points(problems, warm)
+    return [
+        solve_qp(problem)
+        if w is None
+        else QPSolution(w=w, status="optimal", active_set=tuple(guess), iterations=1)
+        for problem, guess, w in zip(problems, warm, points)
+    ]
 
 
 def check_kkt(problem: QuadraticProgram, w: np.ndarray) -> KKTReport:

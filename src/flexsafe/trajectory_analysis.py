@@ -11,11 +11,9 @@ on evidence it does not have.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -275,9 +273,3 @@ def verdict_payload(obj: SafetyVerdict | RobustnessReport) -> dict:
         }
     return _verdict_dict(obj)
 
-
-def export_verdict_json(obj: SafetyVerdict | RobustnessReport, path: str | Path) -> None:
-    """Write a verdict (or full robustness report) as deterministic JSON."""
-    with open(path, "w") as fh:
-        json.dump(verdict_payload(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")

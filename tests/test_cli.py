@@ -338,3 +338,51 @@ def test_artifacts_carry_no_absolute_paths(workdir):
     for artifact in out.iterdir():
         text = artifact.read_text()
         assert str(workdir) not in text, artifact.name
+
+
+def _strict_json(text: str):
+    """json.loads that refuses NaN and infinities, as strict JSON parsers do."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_artifacts_parse_strictly(workdir):
+    """Every JSON artifact is strict JSON, also when the oracle has no feasible sample."""
+    doc = base_doc(
+        controller={"alpha": 0.1, "max_iterations": 40},
+        noise=NOISE,
+        mc={"n_trials": 3, "histogram_bins": 8},
+    )
+    path = write_scenario(workdir, doc)
+    out = workdir / "art"
+    for command in ("for", "run", "mc"):
+        assert main([command, str(path), "--out", str(out)]) == 0
+    # b3 and b4 capped at 1.01 p.u.: the one oracle draw of seed 1 is infeasible.
+    grid = json.loads(grid_path("ring4_tightv").read_text())
+    for bus in grid["buses"]:
+        if bus["id"] in ("b3", "b4"):
+            bus["v_max_pu"] = 1.01
+    (workdir / "tight.json").write_text(json.dumps(grid))
+    tight = base_doc(grid="tight.json")
+    tight["for"]["oracle_samples"] = 1
+    tight_out = workdir / "tight"
+    path = write_scenario(workdir, tight, name="tight_scenario.json")
+    assert main(["for", str(path), "--out", str(tight_out), "--seed", "1"]) == 0
+    oracle = _strict_json((tight_out / "for_summary.json").read_text())["oracle"]
+    assert oracle["n_feasible"] == 0 and oracle["inside_fraction"] is None
+    artifacts = sorted(out.glob("*.json")) + sorted(tight_out.glob("*.json"))
+    names = {artifact.name for artifact in artifacts}
+    assert {"for_summary.json", "run_verdict.json", "mc_summary.json"} <= names
+    for artifact in artifacts:
+        _strict_json(artifact.read_text())
+
+
+def test_write_json_refuses_nan_and_writes_nothing(tmp_path):
+    from flexsafe.cli import _write_json
+
+    with pytest.raises(ValueError):
+        _write_json({"inside_fraction": float("nan")}, tmp_path / "bad.json")
+    assert not (tmp_path / "bad.json").exists()

@@ -20,7 +20,7 @@ from flexsafe.ofo_controller import (
 )
 from flexsafe.grid_model import apply_control
 from flexsafe.power_flow import PowerFlowError, measure, solve_power_flow
-from flexsafe.qp_solver import QuadraticProgram, check_kkt, solve_qp
+from flexsafe.qp_solver import QuadraticProgram, check_kkt, solve_qp, solve_qp_stack
 from flexsafe.sensitivity import compute_sensitivity
 
 from conftest import assert_same_state
@@ -309,7 +309,7 @@ def test_stacked_step_members_equal_their_own_steps(ring4, ring4_map, monkeypatc
 
 
 def _record_step_qps(monkeypatch) -> list:
-    """(problem, guess, solution) of every step QP the kernel solves."""
+    """(problem, guess, solution) of every step QP the kernel solves, alone or in a stack."""
     solved = []
 
     def recording(problem, max_iter=None, warm=None):
@@ -317,7 +317,13 @@ def _record_step_qps(monkeypatch) -> list:
         solved.append((problem, warm, solution))
         return solution
 
+    def recording_stack(problems, warm):
+        solutions = solve_qp_stack(problems, warm)
+        solved.extend(zip(problems, warm, solutions))
+        return solutions
+
     monkeypatch.setattr(ofo_controller, "solve_qp", recording)
+    monkeypatch.setattr(ofo_controller, "solve_qp_stack", recording_stack)
     return solved
 
 

@@ -15,8 +15,10 @@ from flexsafe.qp_solver import (
     QPError,
     QuadraticProgram,
     check_kkt,
+    derive_stack,
     nnls,
     solve_qp,
+    solve_qp_stack,
 )
 
 from conftest import (
@@ -561,3 +563,102 @@ def test_infeasible_instance_stays_infeasible_under_any_guess(data, n, m, gap):
     cold = solve_qp(problem)
     assert cold.status == "infeasible"
     _same_solution(solve_qp(problem, warm=tuple(guess)), cold)
+
+
+def _guess(data, problem, kind):
+    """A warm-start guess of one kind for problem, or None where the kind has none."""
+    tags = problem.expanded[2]
+    if kind == "none":
+        return data.draw(st.sampled_from([None, ()]))
+    if kind == "own":
+        return solve_qp(problem).active_set
+    if kind == "unknown":
+        return ((problem.a.shape[0], "lower"),)
+    if not tags:
+        return None
+    if kind == "wrong":
+        wrong = st.lists(st.sampled_from(tags), min_size=1, max_size=3, unique=True)
+        return tuple(data.draw(wrong))
+    if kind == "repeated":
+        tag = data.draw(st.sampled_from(tags))
+        return (tag, tag)
+    # Both sides of one two-sided row: opposite normals, an exactly singular slice.
+    two_sided = sorted({r for r, side in tags if side == "upper" and (r, "lower") in tags})
+    return ((two_sided[0], "lower"), (two_sided[0], "upper")) if two_sided else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 4),
+    m=st.integers(1, 6),
+    kinds=st.lists(
+        st.sampled_from(["none", "own", "wrong", "unknown", "repeated", "singular"]),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_stacked_solves_equal_each_member_alone(data, n, m, kinds):
+    """Each member of solve_qp_stack is bit for bit its own solve_qp(problem, warm=guess).
+
+    Members derive from one to three templates with m or m + 1 rows, so a
+    stack mixes matrices, shapes and guess sizes; a singular slice shares
+    its stack group with the members around it.  Reversing the stack
+    must not change any member's solution either.
+    """
+    n_templates = data.draw(st.integers(1, 3))
+    templates = [_problem(data, n, m + data.draw(st.integers(0, 1))) for _ in range(n_templates)]
+    problems = []
+    for _ in kinds:
+        template = data.draw(st.sampled_from(templates))
+        lower, upper = _bounds(data, template.a.shape[0])
+        g = data.draw(arrays(np.float64, (n,), elements=ENTRY))
+        problems.append(template.with_vectors(g, lower, upper))
+    guesses = [_guess(data, problem, kind) for problem, kind in zip(problems, kinds)]
+    stacked = solve_qp_stack(problems, guesses)
+    reversed_stack = solve_qp_stack(problems[::-1], guesses[::-1])[::-1]
+    for problem, guess, sol, again in zip(problems, guesses, stacked, reversed_stack):
+        alone = solve_qp(problem, warm=guess)
+        hit = guess and alone.iterations == 1 and alone.active_set == tuple(guess)
+        event("hit" if hit else "cold")
+        _same_solution(sol, alone)
+        _same_solution(again, alone)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), m=st.integers(0, 6), k=st.integers(1, 6))
+def test_derive_stack_matches_each_with_vectors(data, n, m, k):
+    """Stacked derivation gives each member what its template's with_vectors gives."""
+    templates = [_problem(data, n, m) for _ in range(data.draw(st.integers(1, 3)))]
+    members = [data.draw(st.sampled_from(templates)) for _ in range(k)]
+    g = data.draw(arrays(np.float64, (k, n), elements=ENTRY))
+    lower, upper = map(np.array, zip(*(_bounds(data, m) for _ in range(k))))
+    stack = derive_stack(members, g, lower.reshape(k, m), upper.reshape(k, m))
+    for j, (template, derived) in enumerate(zip(members, stack)):
+        alone = template.with_vectors(g[j], lower[j], upper[j])
+        assert derived.a is template.a
+        for name in ("g", "lower", "upper"):
+            assert np.array_equal(getattr(derived, name), getattr(alone, name)), name
+        assert (derived._normals is template._normals) == (alone._normals is template._normals)
+        (c, b, tags), (c_ref, b_ref, tags_ref) = derived.expanded, alone.expanded
+        assert np.array_equal(c, c_ref) and np.array_equal(b, b_ref) and tags == tags_ref
+
+
+def test_derive_stack_checks_the_stack_as_the_constructor_does():
+    template = box([0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
+    good = np.zeros((2, 2)), -np.ones((2, 2)), np.ones((2, 2))
+    assert len(derive_stack([template] * 2, *good)) == 2
+    assert derive_stack([], np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2))) == []
+    g, lower, upper = (x.copy() for x in good)
+    g[1, 0] = np.inf
+    with pytest.raises(QPError, match="g has non-finite entries"):
+        derive_stack([template] * 2, g, lower, upper)
+    with pytest.raises(QPError, match="a has 2 columns for a 3-dim w"):
+        derive_stack([template] * 2, np.zeros((2, 3)), lower, upper)
+    with pytest.raises(QPError, match="one entry per constraint row"):
+        derive_stack([template] * 2, good[0], np.zeros((2, 3)), upper)
+    with pytest.raises(QPError, match="stack of 2 vectors"):
+        derive_stack([template] * 2, np.zeros(2), lower, upper)
+    lower[1, 1] = 2.0
+    with pytest.raises(QPError, match=r"row 1: lower bound 2.0 exceeds upper 1.0"):
+        derive_stack([template] * 2, good[0], lower, upper)

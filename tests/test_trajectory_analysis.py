@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flexsafe.cli import _write_json
 from flexsafe.for_region import FORPolygon
 from flexsafe.trajectory_analysis import (
     SafetyClass,
@@ -14,7 +15,6 @@ from flexsafe.trajectory_analysis import (
     TrialFailure,
     classify,
     coverage_metric,
-    export_verdict_json,
     robustness_verdict,
     verdict_payload,
     wilson_interval,
@@ -218,8 +218,8 @@ def test_robustness_report_composes(diamond):
 
 def test_verdict_json_round_trip(diamond, tmp_path):
     verdict = classify([make_trajectory(ESCAPE_PATH)], diamond)
-    path = tmp_path / "verdict.json"
-    export_verdict_json(verdict, path)
+    path = tmp_path / "run_verdict.json"
+    _write_json(verdict_payload(verdict), path)
     data = json.loads(path.read_text())
     assert data["safety_class"] == "unsafe"
     assert data["n_trajectories"] == 1
