@@ -86,16 +86,19 @@ def _region_stamp(sc: ScenarioConfig) -> str:
 
 
 def _ensure_region(sc: ScenarioConfig, out: Path, refresh: bool = False) -> FORPolygon:
-    """The scenario's region: the cached CSV if its stamp matches, else a new sweep."""
+    """The scenario's region: the cached CSV if its stamp matches and it reads, else a new sweep."""
     cache, stamp_file = out / REGION_CSV, out / REGION_STAMP
     stamp = _region_stamp(sc)
     if (
         not refresh
         and cache.exists()
         and stamp_file.exists()
-        and stamp_file.read_text().strip() == stamp
+        and stamp_file.read_text(errors="replace").strip() == stamp
     ):
-        return read_for_csv(cache)
+        try:
+            return read_for_csv(cache)
+        except FORError as exc:
+            print(f"cached region unreadable, charting it again: {exc}", file=sys.stderr)
     # Drop the old stamp first, so a run cut short never leaves a stamp
     # vouching for a CSV it does not describe.
     stamp_file.unlink(missing_ok=True)

@@ -34,7 +34,7 @@ from flexsafe.power_flow import (
     limit_violation,
     solve_power_flow,
 )
-from flexsafe.ofo_controller import OFOStep, closed_loop_step, step_qp_template
+from flexsafe.ofo_controller import closed_loop_step, step_qp_template
 from flexsafe.sensitivity import SensitivityMap, compute_sensitivity
 
 
@@ -172,64 +172,27 @@ def _binding_labels(
     return tuple(labels)
 
 
-class _Ray:
-    """One sweep ray's push: its stages' gains, templates and costs, and its progress.
+@dataclass(frozen=True, eq=False)
+class _RayCosts:
+    """The stage costs of a stack of rays, as one gradient callable for the step kernel.
 
-    The per-iteration cost -kappa (c . x) + mu (n . x)^2 (c the ray
-    direction, n its normal) is minimized with the controller's own
-    constrained step; the gain is scaled to the cost curvature seen through
-    the PCC rows of the sensitivity map.  Each stage derives its step QPs
-    from one step_qp_template; every step QP is warm-started from the
-    active set of the ray's last solved one.
+    Member j minimizes -kappa_j (c_j . x) + mu_j (n_j . x)^2 over the PCC
+    flow x = (p_pcc, q_pcc), with c_j its ray direction and n_j its normal.
     """
 
-    def __init__(self, grid: GridModel, smap: SensitivityMap, theta: float, config: SweepConfig):
-        c = np.array([math.cos(theta), math.sin(theta)])
-        n_vec = np.array([-math.sin(theta), math.cos(theta)])
-        m_pcc = smap.matrix[-2:]
-        sigma_n2 = float(np.sum((n_vec @ m_pcc) ** 2))
-        sigma_c2 = float(np.sum((c @ m_pcc) ** 2))
-        if sigma_n2 + sigma_c2 < 1e-18:
-            raise FORError("controls have no effect on the PCC flow; the region is a point")
-        self.config = config
-        self.stages = []
-        for kappa, mu in config.stages:
-            alpha = config.gain_scale / (mu * sigma_n2 + kappa * sigma_c2)
+    c: np.ndarray
+    normal: np.ndarray
+    kappa: np.ndarray
+    mu: np.ndarray
 
-            def gradient(y: MeasurementVector, kappa=kappa, mu=mu) -> np.ndarray:
-                perp = float(n_vec @ [y.p_pcc, y.q_pcc])
-                grad_phi = np.zeros(len(y))
-                grad_phi[-2] = -kappa * c[0] + 2.0 * mu * perp * n_vec[0]
-                grad_phi[-1] = -kappa * c[1] + 2.0 * mu * perp * n_vec[1]
-                return grad_phi
-
-            self.stages.append((alpha, gradient, step_qp_template(grid, smap, alpha)))
-        self.u = smap.u0.copy()
-        self.active_set = None
-        self.stage = 0
-        self.iterations = 0
-        self.stall = 0
-
-    def advance(self, step: OFOStep) -> bool:
-        """Take one step's outcome; False once the last stage has ended.
-
-        A stage ends on a QP that is not optimal, after ``patience``
-        updates in a row below ``stall_tol``, or after
-        ``stage_iterations`` steps.
-        """
-        config = self.config
-        self.iterations += 1
-        ended = step.qp_status != "optimal"
-        if not ended:
-            delta = float(np.max(np.abs(step.u_next - self.u)))
-            self.u = step.u_next
-            self.active_set = step.active_set
-            self.stall = self.stall + 1 if delta < config.stall_tol else 0
-            ended = self.stall >= config.patience
-        if ended or self.iterations >= config.stage_iterations:
-            self.stage += 1
-            self.iterations = self.stall = 0
-        return self.stage < len(self.stages)
+    def __call__(self, y: MeasurementVector) -> np.ndarray:
+        """The (K, n_y) gradients at a (K, n_y) stack of measurements."""
+        pcc = y.values[:, -2:]
+        # One 2-vector dot per member (np.matmul), the call n . x of one ray makes.
+        perp = np.matmul(self.normal[:, None, :], pcc[..., None])[:, 0, 0]
+        grad = np.zeros(y.values.shape)
+        grad[:, -2:] = -self.kappa[:, None] * self.c + (2.0 * self.mu * perp)[:, None] * self.normal
+        return grad
 
 
 def _push_rays(
@@ -237,58 +200,95 @@ def _push_rays(
 ) -> list[tuple[np.ndarray, SystemState] | Exception]:
     """Drive the PCC flow outward along each ray until pinned, all rays in lockstep.
 
-    Every live ray takes one step per call of the step kernel, as one
-    stack: each with its own stage, gain, template and cost, its power
-    flow and step QP warm-started from its own previous step.  A ray
-    leaves the stack when its last stage ends or its plant fails.  The pinned points are then
-    solved from a flat start, as verify_vertices re-solves them.  Returns
-    per ray its (control, pinned state), or the error that dropped it.
-    Each ray's result is bit for bit that of the ray pushed alone.
+    Each ray minimizes its stage costs (_RayCosts) in turn with the
+    controller's own constrained step; a stage's gain is scaled to the
+    cost curvature seen through the PCC rows of the sensitivity map, and
+    each (ray, stage) derives its step QPs from one step_qp_template.  The
+    live rays' state is held as arrays: control, stage, steps and stalled
+    steps in the stage, and the last solved step QP's active set, which
+    warm-starts the next.  Every live ray takes one step per call of the
+    step kernel, as one stack.  A stage ends on a QP that is not optimal,
+    after ``patience`` updates in a row below ``stall_tol``, or after
+    ``stage_iterations`` steps; a ray leaves the stack when its last stage
+    ends or its plant fails.  The pinned points are then solved from a
+    flat start, as verify_vertices re-solves them.  Returns per ray its
+    (control, pinned state), or the error that dropped it.  Each ray's
+    result is bit for bit that of the ray pushed alone.
     """
     results: list = [None] * len(thetas)
-    rays: dict[int, _Ray] = {}
+    kappa, mu = (np.array(x) for x in zip(*config.stages))
+    m_pcc = smap.matrix[-2:]
+    rays, directions, alphas = [], [], []
     for i, theta in enumerate(thetas):
-        try:
-            rays[i] = _Ray(grid, smap, theta, config)
-        except FORError as exc:
-            results[i] = exc
-    live = list(rays)
+        c = np.array([math.cos(theta), math.sin(theta)])
+        n_vec = np.array([-math.sin(theta), math.cos(theta)])
+        sigma_n2 = float(np.sum((n_vec @ m_pcc) ** 2))
+        sigma_c2 = float(np.sum((c @ m_pcc) ** 2))
+        if sigma_n2 + sigma_c2 < 1e-18:
+            results[i] = FORError("controls have no effect on the PCC flow; the region is a point")
+            continue
+        rays.append(i)
+        directions.append((c, n_vec))
+        alphas.append(config.gain_scale / (mu * sigma_n2 + kappa * sigma_c2))
+    directions = np.array(directions).reshape(-1, 2, 2)
+    c, normal = directions[:, 0], directions[:, 1]
+    alpha = np.array(alphas)
+    templates = [[step_qp_template(grid, smap, a) for a in row] for row in alpha.tolist()]
+
+    # Per live ray: its index in ``rays``, control, stage, steps and stalled
+    # steps in the stage, and warm-start guess.
+    live = np.arange(len(rays))
+    u = np.tile(smap.u0, (len(rays), 1))
+    stage, iterations, stall = (np.zeros(len(rays), dtype=int) for _ in range(3))
+    guesses: list = [None] * len(rays)
     pinned: list[int] = []
+    pinned_u: list[np.ndarray] = []
     states = None
     k = 0
-    while live:
-        stages = [rays[i].stages[rays[i].stage] for i in live]
+    while live.size:
         steps, states = closed_loop_step(
             grid,
-            np.array([rays[i].u for i in live]),
+            u,
             smap,
-            [alpha for alpha, _, _ in stages],
-            [gradient for _, gradient, _ in stages],
-            [template for _, _, template in stages],
+            alpha[live, stage],
+            _RayCosts(c[live], normal[live], kappa[stage], mu[stage]),
+            [templates[r][s] for r, s in zip(live.tolist(), stage.tolist())],
             k=k,
             initial=states,
-            warm=[rays[i].active_set for i in live],
+            warm=guesses,
         )
         k += 1
-        going = []
-        for j, (i, step) in enumerate(zip(live, steps)):
-            if isinstance(step, PowerFlowError):
-                results[i] = step
-            elif rays[i].advance(step):
-                going.append(j)
-            else:
-                pinned.append(i)
-        live = [live[j] for j in going]
-        states = states.take(going)
+        failed = np.array([error is not None for error in steps.errors])
+        optimal = np.array([status == "optimal" for status in steps.qp_status])
+        delta = np.max(np.abs(steps.u_next - u), axis=1)
+        u = steps.u_next
+        guesses = [new if ok else old for new, ok, old in zip(steps.active_set, optimal, guesses)]
+        iterations += 1
+        # A QP that is not optimal ends the stage, which resets the stall count.
+        stall = np.where(delta < config.stall_tol, stall + 1, 0)
+        ended = ~optimal | (stall >= config.patience) | (iterations >= config.stage_iterations)
+        stage[ended] += 1
+        iterations[ended] = stall[ended] = 0
+        for j in np.flatnonzero(failed):
+            results[rays[live[j]]] = steps.errors[j]
+        done = ~failed & (stage == len(config.stages))
+        pinned.extend(rays[r] for r in live[done])
+        pinned_u.extend(u[done])
+        going = np.flatnonzero(~failed & ~done)
+        if going.size < live.size:
+            per_ray = (live, u, stage, iterations, stall)
+            live, u, stage, iterations, stall = (x[going] for x in per_ray)
+            guesses = [guesses[j] for j in going]
+            states = states.take(going)
     if pinned:
-        solved = solve_power_flow(grid, control=np.array([rays[i].u for i in pinned]))
+        solved = solve_power_flow(grid, control=np.array(pinned_u))
         for j, i in enumerate(pinned):
             if solved.failures[j] is not None:
                 results[i] = SingularJacobianError(solved.failures[j])
             elif not solved.converged[j]:
                 results[i] = PowerFlowError("power flow diverged at the pinned point")
             else:
-                results[i] = (rays[i].u, solved[j])
+                results[i] = (pinned_u[j], solved[j])
     return results
 
 
@@ -424,21 +424,44 @@ def export_for_csv(polygon: FORPolygon, path: str | Path) -> None:
 
 
 def read_for_csv(path: str | Path) -> FORPolygon:
-    """Rebuild a polygon from its CSV export (geometry and binding tags only)."""
+    """Rebuild a polygon from its CSV export (geometry and binding tags only).
+
+    Raises FORError, naming the path and, where it has one, the line, for
+    a file that is not a well-formed export: undecodable bytes, a row
+    without its four fields, a field that is not a finite number, or too
+    few vertices for a polygon.
+    """
     angles: list[float] = []
     vertices: list[tuple[float, float]] = []
     binding: list[tuple[str, ...]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != ["theta_deg", "p_pcc", "q_pcc"]:
-            raise FORError(f"{path} is not a region export")
-        for row in reader:
-            angles.append(math.radians(float(row[0])))
-            vertices.append((float(row[1]), float(row[2])))
-            binding.append(tuple(t for t in row[3].split(";") if t))
-    return FORPolygon(
-        vertices=np.array(vertices).reshape(-1, 2),
-        angles=np.array(angles),
-        binding=tuple(binding),
-    )
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or header[:3] != ["theta_deg", "p_pcc", "q_pcc"]:
+                raise FORError(f"{path} is not a region export")
+            for row in reader:
+                where = f"{path} line {reader.line_num}"
+                if len(row) != 4:
+                    raise FORError(f"{where}: expected 4 fields, got {len(row)}")
+                try:
+                    theta, p, q = (float(x) for x in row[:3])
+                except ValueError:
+                    raise FORError(f"{where}: a field is not a number") from None
+                if not all(map(math.isfinite, (theta, p, q))):
+                    raise FORError(f"{where}: a field is not finite")
+                angles.append(math.radians(theta))
+                vertices.append((p, q))
+                binding.append(tuple(t for t in row[3].split(";") if t))
+    except UnicodeDecodeError as exc:
+        raise FORError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+    except csv.Error as exc:
+        raise FORError(f"{path}: {exc}") from None
+    try:
+        return FORPolygon(
+            vertices=np.array(vertices).reshape(-1, 2),
+            angles=np.array(angles),
+            binding=tuple(binding),
+        )
+    except FORError as exc:
+        raise FORError(f"{path}: {exc}") from None

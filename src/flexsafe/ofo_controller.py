@@ -34,7 +34,13 @@ from flexsafe.power_flow import (
     measure,
     solve_power_flow,
 )
-from flexsafe.qp_solver import QuadraticProgram, derive_stack, solve_qp, solve_qp_stack
+from flexsafe.qp_solver import (
+    ProblemStack,
+    QuadraticProgram,
+    derive_stack,
+    solve_qp,
+    solve_qp_stack,
+)
 
 
 class ControllerError(Exception):
@@ -100,6 +106,49 @@ class OFOStep:
     u_next: np.ndarray
     qp_status: str
     active_set: tuple[tuple[int, str], ...]
+
+
+@dataclass(frozen=True, eq=False)
+class StepStack:
+    """K members' steps taken as one stack; row i belongs to member i.
+
+    The fields are OFOStep's with a leading member axis: ``y`` holds the
+    (K, n_y) measurements, ``w``, ``u`` and ``u_next`` are (K, n_u)
+    arrays, and ``qp_status`` and ``active_set`` hold one entry per
+    member.  ``errors[i]`` is the PowerFlowError that stopped member i, or
+    None; such a member has a NaN measurement, w = 0, u_next = u and the
+    status "plant_failed".
+    """
+
+    k: int
+    y: MeasurementVector
+    w: np.ndarray
+    u: np.ndarray
+    u_next: np.ndarray
+    qp_status: tuple[str, ...]
+    active_set: tuple[tuple[tuple[int, str], ...], ...]
+    errors: tuple[PowerFlowError | None, ...]
+
+    def __len__(self) -> int:
+        return self.u.shape[0]
+
+    def __getitem__(self, i: int) -> OFOStep:
+        """Member i's step as an OFOStep, with arrays of its own.
+
+        Raises the error that stopped member i, as its own step does.
+        """
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        y = self.y
+        return OFOStep(
+            k=self.k,
+            y=MeasurementVector(y.values[i].copy(), y.n_bus, y.n_branch),
+            w=self.w[i].copy(),
+            u=self.u[i].copy(),
+            u_next=self.u_next[i].copy(),
+            qp_status=self.qp_status[i],
+            active_set=self.active_set[i],
+        )
 
 
 @dataclass(frozen=True)
@@ -189,7 +238,7 @@ def build_step_qp(
     grid: GridModel,
     grad_phi: np.ndarray,
     template: QuadraticProgram | Sequence[QuadraticProgram],
-) -> QuadraticProgram | list[QuadraticProgram]:
+) -> QuadraticProgram | ProblemStack:
     """Assemble the per-step direction QP at measurement y and control u.
 
     Rows, in order: control box (exact, on the true u), voltage band and
@@ -199,11 +248,11 @@ def build_step_qp(
     gradient and offsets.
 
     With a (K, n_u) stack of controls, a stack of K measurements, a
-    (K, n_y) stack of gradients and one template per member, returns one
-    QP per member (see derive_stack).  The offsets and the vectors
-    2 M^T grad_phi are formed and checked for the whole stack; np.matmul
-    makes one matrix-vector product per member, so a member's bits do not
-    depend on its companions.
+    (K, n_y) stack of gradients and one template per member, returns the
+    members' QPs as one ProblemStack (see derive_stack).  The offsets and
+    the vectors 2 M^T grad_phi are formed and checked for the whole stack;
+    np.matmul makes one matrix-vector product per member, so a member's
+    bits do not depend on its companions.
     """
     lower_u, upper_u = grid.control_bounds()
     lower = np.concatenate([lower_u - u, grid.v_min - y.v, -y.s], axis=-1)
@@ -219,13 +268,13 @@ def closed_loop_step(
     u: np.ndarray,
     smap,
     alpha: float | Sequence[float],
-    gradient: Callable[[MeasurementVector], np.ndarray] | Sequence[Callable],
+    gradient: Callable[[MeasurementVector], np.ndarray],
     template: QuadraticProgram | Sequence[QuadraticProgram],
     k: int = 0,
     noise: NoiseModel | None = None,
     initial: SystemState | StateStack | None = None,
     warm: tuple | Sequence[tuple | None] | None = None,
-) -> tuple[OFOStep, SystemState] | tuple[tuple[OFOStep | PowerFlowError, ...], StateStack]:
+) -> tuple[OFOStep, SystemState] | tuple[StepStack, StateStack]:
     """Run one closed-loop iteration against the true plant.
 
     The step kernel of every loop (dispatch, region sweep, gain
@@ -239,16 +288,18 @@ def closed_loop_step(
     control (w = 0) rather than taking an unreliable direction.
 
     A (K, n_u) stack of controls steps K independent members in lockstep:
-    ``alpha``, ``gradient``, ``template`` and ``warm`` (if given) then hold
-    one entry per member, ``initial`` is a StateStack, and ``noise`` may
-    drive a stack of one only.  The plant is solved as one stack, and the
-    measurements, step QPs (build_step_qp) and clip are formed for the
-    whole stack; solve_qp_stack runs every member's warm test at once and
-    solves each miss cold on its own.  Each member's cost gradient, QP and
-    guess are its own.  Returns, per member, its OFOStep or the
-    PowerFlowError that stopped it, and the StateStack.  A member's results
-    are bit for bit those of its own one-member step; one control vector is
-    the one-member case.
+    ``alpha``, ``template`` and ``warm`` (if given) then hold one entry per
+    member, ``initial`` is a StateStack, and ``noise`` may drive a stack of
+    one only.  ``gradient`` is then one callable for the stack: it maps the
+    (K, n_y) MeasurementVector to the (K, n_y) gradients, row i member
+    i's own; a member whose plant failed has a NaN row, and its gradient
+    row is not read.  The plant is solved as one stack, and the
+    measurements, step QPs (build_step_qp), warm tests (solve_qp_stack)
+    and clip are formed for the whole stack; a member whose guess misses is
+    solved cold on its own.  Returns the StepStack, which holds per member
+    its step or the PowerFlowError that stopped it, and the StateStack.  A
+    member's results are bit for bit those of its own one-member step; one
+    control vector is the one-member case.
     """
     u = np.asarray(u, dtype=float)
     single = u.ndim == 1
@@ -261,46 +312,61 @@ def closed_loop_step(
             raise PowerFlowError(
                 f"plant power flow diverged at iteration {k} (mismatch {states.mismatch:.3e})"
             )
-        u_live, alphas = u[None], (alpha,)
-        members = [measure(states, noise.measurement_noise(k) if noise is not None else None)]
-        problem = build_step_qp(u, members[0], smap, grid, gradient(members[0]), template)
-        solutions = [solve_qp(problem, warm=warm)]
-    else:
-        results: list[OFOStep | PowerFlowError | None] = [None] * len(u)
-        for i in np.flatnonzero(~states.converged):
-            why = states.failures[i]
-            results[i] = SingularJacobianError(why) if why else PowerFlowError(
-                f"plant power flow diverged at iteration {k} "
-                f"(mismatch {states.mismatch[i]:.3e})"
-            )
-        live = np.flatnonzero(states.converged)
-        u_live, alphas = u[live], [alpha[i] for i in live]
-        guesses = [None] * len(live) if warm is None else [warm[i] for i in live]
-        ys = measure(states.take(live))
-        members = [MeasurementVector(row.copy(), ys.n_bus, ys.n_branch) for row in ys.values]
-        grad_phi = np.reshape([gradient[i](y) for i, y in zip(live, members)], ys.values.shape)
-        problems = build_step_qp(u_live, ys, smap, grid, grad_phi, [template[i] for i in live])
-        solutions = solve_qp_stack(problems, guesses)
-    w = [sol.w if sol.status == "optimal" else np.zeros(u.shape[-1]) for sol in solutions]
-    if w:  # some member's plant solved
-        stepped = (u_live + np.array(alphas)[:, None] * np.array(w)).clip(*grid.control_bounds())
-    steps = [
-        OFOStep(
+        y = measure(states, noise.measurement_noise(k) if noise is not None else None)
+        problem = build_step_qp(u, y, smap, grid, gradient(y), template)
+        solution = solve_qp(problem, warm=warm)
+        if solution.status == "optimal":
+            w, u_next = solution.w, (u + alpha * solution.w).clip(*grid.control_bounds())
+        else:
+            w, u_next = np.zeros(u.size), u.copy()
+        step = OFOStep(
             k=k,
             y=y,
-            w=w_j,
-            u=u_live[j].copy(),
-            u_next=(stepped[j] if solution.status == "optimal" else u_live[j]).copy(),
+            w=w,
+            u=u.copy(),
+            u_next=u_next,
             qp_status=solution.status,
             active_set=solution.active_set,
         )
-        for j, (y, w_j, solution) in enumerate(zip(members, w, solutions))
-    ]
-    if single:
-        return steps[0], states
-    for i, step in zip(live, steps):
-        results[i] = step
-    return tuple(results), states
+        return step, states
+
+    errors: list[PowerFlowError | None] = [None] * len(u)
+    for i in np.flatnonzero(~states.converged):
+        why = states.failures[i]
+        errors[i] = SingularJacobianError(why) if why else PowerFlowError(
+            f"plant power flow diverged at iteration {k} (mismatch {states.mismatch[i]:.3e})"
+        )
+    live = np.flatnonzero(states.converged)
+    y_live = measure(states if live.size == len(u) else states.take(live))
+    y = y_live
+    if live.size < len(u):
+        values = np.full((len(u), len(y_live)), np.nan)
+        values[live] = y_live.values
+        y = MeasurementVector(values, y_live.n_bus, y_live.n_branch)
+    problems = build_step_qp(
+        u[live], y_live, smap, grid, gradient(y)[live], [template[i] for i in live]
+    )
+    guesses = [None] * live.size if warm is None else [warm[i] for i in live]
+    w = np.zeros(u.shape)
+    status, active = ["plant_failed"] * len(u), [()] * len(u)
+    for i, solution in zip(live, solve_qp_stack(problems, guesses)):
+        status[i], active[i] = solution.status, solution.active_set
+        if solution.status == "optimal":
+            w[i] = solution.w
+    optimal = np.array([s == "optimal" for s in status], dtype=bool)
+    stepped = (u + np.asarray(alpha, dtype=float)[:, None] * w).clip(*grid.control_bounds())
+    u_next = np.where(optimal[:, None], stepped, u)
+    stack = StepStack(
+        k=k,
+        y=y,
+        w=w,
+        u=u.copy(),
+        u_next=u_next,
+        qp_status=tuple(status),
+        active_set=tuple(active),
+        errors=tuple(errors),
+    )
+    return stack, states
 
 
 def run_schedule(

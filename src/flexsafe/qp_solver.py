@@ -31,9 +31,10 @@ instance from it and shares the one-sided normals and their Gram matrix, so
 only the vectors are checked and expanded per solve.
 
 Lockstep loops solve a stack of such problems, one per member, each from
-its own template.  derive_stack checks the stack's vectors once and derives
-every member; solve_qp_stack runs the warm test for the whole stack and
-sends each member that misses to the cold method alone.  with_vectors and
+its own template.  derive_stack checks the stack's vectors once and holds
+them as a ProblemStack of arrays; solve_qp_stack runs the warm test on
+those arrays for the whole stack and derives a problem only for a member
+that misses, which goes to the cold method alone.  with_vectors and
 solve_qp's warm test are the one-member cases of the same code, so a
 member's solution does not depend on the stack it is solved in.
 """
@@ -97,8 +98,7 @@ class QuadraticProgram:
         otherwise they are expanded afresh.  The one-member case of
         derive_stack.
         """
-        (derived,) = derive_stack([self], *_one_member(g, lower, upper))
-        return derived
+        return derive_stack([self], *_one_member(g, lower, upper))[0]
 
     @property
     def n_var(self) -> int:
@@ -210,29 +210,57 @@ def _interleaved_offsets(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def derive_stack(templates: Sequence[QuadraticProgram], g, lower, upper) -> list[QuadraticProgram]:
+@dataclass(frozen=True, eq=False)
+class ProblemStack:
+    """K problems held as arrays: member j has templates[j]'s matrix and row j of g and the bounds.
+
+    ``offsets`` interleaves each member's bounds as _offsets does, and
+    ``shared[j]`` says member j's finite bounds are those of templates[j],
+    so that member has the template's normals.  Indexing derives member j
+    as a QuadraticProgram; solve_qp_stack derives only the members it
+    solves cold.
+    """
+
+    templates: tuple[QuadraticProgram, ...]
+    g: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    offsets: np.ndarray
+    shared: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.templates)
+
+    def __getitem__(self, j: int) -> QuadraticProgram:
+        """Member j as a problem of its own, sharing its template's normals when it can."""
+        template = self.templates[j]
+        derived = object.__new__(QuadraticProgram)
+        # Frozen: fill the instance dict, which cached_property reads first.
+        derived.__dict__.update(
+            a=template.a, g=self.g[j], lower=self.lower[j], upper=self.upper[j],
+            _offsets=self.offsets[j],
+        )
+        if self.shared[j]:
+            derived.__dict__["_normals"] = template._normals
+        return derived
+
+    def __iter__(self):
+        return (self[j] for j in range(len(self)))
+
+
+def derive_stack(templates: Sequence[QuadraticProgram], g, lower, upper) -> ProblemStack:
     """with_vectors for a stack: templates[j]'s matrix with row j of g, lower and upper.
 
     The (K, n) g and (K, rows) bounds are checked once for the whole
     stack, with the messages of the constructor.  Member j shares the
     normals of templates[j] when its finite bounds are the template's.
     """
+    templates = tuple(templates)
     g, lower, upper = _checked_vectors([t.a for t in templates], g, lower, upper)
-    normals = [t._normals for t in templates]
     offsets = _interleaved_offsets(lower, upper)
-    finite = np.array([n.finite for n in normals]).reshape(offsets.shape)
+    finite = np.array([t._normals.finite for t in templates]).reshape(offsets.shape)
     shared = (np.isfinite(offsets) == finite).all(axis=1)
-    problems = []
-    for j, template in enumerate(templates):
-        derived = object.__new__(QuadraticProgram)
-        # Frozen: fill the instance dict, which cached_property reads first.
-        derived.__dict__.update(
-            a=template.a, g=g[j], lower=lower[j], upper=upper[j], _offsets=offsets[j]
-        )
-        if shared[j]:
-            derived.__dict__["_normals"] = normals[j]
-        problems.append(derived)
-    return problems
+    return ProblemStack(templates, g, lower, upper, offsets, shared)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,57 +303,42 @@ def _projection_step(c_all: np.ndarray, gram: np.ndarray, active: list[int], p: 
     return r, cp - c_all[active].T @ r
 
 
-def _warm_points(
-    problems: Sequence[QuadraticProgram], guesses: Sequence[tuple | None]
-) -> list[np.ndarray | None]:
-    """Per problem, its optimum if the tagged rows of its guess are its active set, else None.
+def _guess_rows(normals: _Normals, guess) -> list[int] | None:
+    """The rows of normals that the guess's tags name, or None for an unknown or repeated tag."""
+    index = normals.rows
+    rows = [index.get(tag, -1) for tag in guess]
+    return rows if -1 not in rows and len(set(rows)) == len(rows) else None
 
-    A guess is tested by its equality projection: solve
-    gram[S, S] lam = b_S + c_S g and form w = c_S^T lam - g.  The point is
-    returned only when every multiplier is non-negative (NaN fails), w is
-    finite and every row, the guessed ones included, has slack >= -TOL_QP;
-    the guessed rows must also hold within TOL_QP of their bounds, so a
-    badly conditioned slice cannot pass on rounding.  An empty guess, an
-    unknown or repeated tag or a singular slice gives None.
 
-    Members whose guesses have one size and whose problems have one shape
-    are tested as one stack: one np.linalg.solve for the multipliers and
-    one np.matmul each for the right-hand sides, w and the slacks.  Both
-    make one LAPACK or BLAS call per member, the call a one-member stack
-    makes, so a member's bits do not depend on the stack it is in.
+def _warm_points(c, gram, b, g, rows) -> tuple[np.ndarray, np.ndarray | None]:
+    """(hit, w): per member, whether its guessed rows are its active set, and its optimum.
+
+    Member j has the one-sided rows c[j] w >= b[j] with Gram matrix
+    gram[j], the vector g[j] and the guessed rows rows[j]; every member
+    guesses as many rows.  A guess is tested by its equality projection:
+    solve gram[S, S] lam = b_S + c_S g and form w = c_S^T lam - g.  The
+    point is a hit only when every multiplier is non-negative (NaN fails),
+    w is finite and every row, the guessed ones included, has slack
+    >= -TOL_QP; the guessed rows must also hold within TOL_QP of their
+    bounds, so a badly conditioned slice cannot pass on rounding.  A
+    singular slice misses.  w is None when no member's multipliers pass.
+
+    np.linalg.solve and each np.matmul make one LAPACK or BLAS call per
+    member, the call a stack of one makes, so a member's bits do not
+    depend on the stack it is in.
     """
-    points: list[np.ndarray | None] = [None] * len(problems)
-    groups: dict[tuple, list[tuple[int, list[int]]]] = {}
-    for j, (problem, guess) in enumerate(zip(problems, guesses)):
-        if not guess:
-            continue
-        index = problem._normals.rows
-        rows = [index.get(tag, -1) for tag in guess]
-        if -1 not in rows and len(set(rows)) == len(rows):
-            groups.setdefault((len(rows), problem._normals.c.shape), []).append((j, rows))
-    for members in groups.values():
-        stack = [problems[j] for j, _ in members]
-        rows = np.array([r for _, r in members])
-        k = np.arange(len(stack))[:, None]
-        c = np.array([p.expanded[0] for p in stack])
-        b = np.array([p.expanded[1] for p in stack])
-        gram = np.array([p._normals.gram for p in stack])
-        g = np.array([p.g for p in stack])
-        c_s = c[k, rows]
-        gram_s = gram[k[..., None], rows[..., None], rows[:, None]]
-        lam = _solve_each(gram_s, b[k, rows] + np.matmul(c_s, g[..., None])[..., 0])
-        dual = (lam >= 0.0).all(axis=1)  # NaN fails
-        if not dual.any():  # where most misses on noisy traffic end
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = np.matmul(c_s.transpose(0, 2, 1), lam[..., None])[..., 0] - g
-            slack = np.matmul(c, w[..., None])[..., 0] - b
-        primal = [np.isfinite(w), slack >= -TOL_QP, slack[k, rows] <= TOL_QP]
-        hits = dual & np.concatenate(primal, axis=1).all(axis=1)
-        for (j, _), w_j, hit in zip(members, w, hits):
-            if hit:
-                points[j] = w_j
-    return points
+    k = np.arange(len(rows))[:, None]
+    c_s = c[k, rows]
+    gram_s = gram[k[..., None], rows[..., None], rows[:, None]]
+    lam = _solve_each(gram_s, b[k, rows] + np.matmul(c_s, g[..., None])[..., 0])
+    dual = (lam >= 0.0).all(axis=1)  # NaN fails
+    if not dual.any():  # where most misses on noisy traffic end
+        return dual, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.matmul(c_s.transpose(0, 2, 1), lam[..., None])[..., 0] - g
+        slack = np.matmul(c, w[..., None])[..., 0] - b
+    primal = [np.isfinite(w), slack >= -TOL_QP, slack[k, rows] <= TOL_QP]
+    return dual & np.concatenate(primal, axis=1).all(axis=1), w
 
 
 def _solve_each(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -356,7 +369,8 @@ def solve_qp(
 
     ``warm`` guesses the active set as (row, side) tags, typically the
     previous solution's ``active_set``.  A guess that passes the test of
-    _warm_points, here for a stack of one, gives the optimum at once,
+    _warm_points, run on this problem's arrays as a stack of one (views,
+    nothing copied), gives the optimum at once,
     counted as one iteration, with the guess as its active set.  An
     unknown or repeated tag, a singular Gram slice or a failed test falls
     back to the dual active-set method from the unconstrained minimum,
@@ -367,10 +381,12 @@ def solve_qp(
     n_con = c_all.shape[0]
     if max_iter is None:
         max_iter = 50 * (n_con + problem.n_var) + 100
-    if warm and max_iter >= 1:
-        (w,) = _warm_points([problem], [warm])
-        if w is not None:
-            return QPSolution(w=w, status="optimal", active_set=tuple(warm), iterations=1)
+    if warm and max_iter >= 1 and (rows := _guess_rows(problem._normals, warm)) is not None:
+        hit, w = _warm_points(
+            c_all[None], gram[None], b_all[None], problem.g[None], np.array([rows])
+        )
+        if hit[0]:
+            return QPSolution(w=w[0], status="optimal", active_set=tuple(warm), iterations=1)
 
     w = -problem.g.copy()
     active: list[int] = []
@@ -430,21 +446,48 @@ def solve_qp(
     return QPSolution(w=w, status=status, active_set=tagged, iterations=iterations)
 
 
-def solve_qp_stack(
-    problems: Sequence[QuadraticProgram], warm: Sequence[tuple | None]
-) -> list[QPSolution]:
-    """solve_qp(problem, warm=guess) for each problem and its guess.
+def solve_qp_stack(problems: ProblemStack, warm: Sequence[tuple | None]) -> list[QPSolution]:
+    """solve_qp(problems[j], warm=warm[j]) for each member j.
 
-    The warm test of solve_qp runs once for the whole stack; a member
-    whose guess misses goes to the cold solve_qp(problem).  Each member's
-    solution is bit for bit that of its own solve_qp(problem, warm=guess).
+    Members that share their template's normals and whose guesses name as
+    many rows of normals of one shape are warm-tested as one stack on the
+    stack's arrays; no problem is derived for a hit.  A member whose guess
+    misses goes to the cold solve_qp(problems[j]), and a member with a
+    guess and normals of its own to solve_qp(problems[j], warm=guess).
+    Each member's solution is bit for bit that of its own
+    solve_qp(problems[j], warm=warm[j]).
     """
-    points = _warm_points(problems, warm)
+    solutions: list[QPSolution | None] = [None] * len(problems)
+    groups: dict[tuple, list[tuple[int, list[int]]]] = {}
+    for j, guess in enumerate(warm):
+        if not guess:
+            continue
+        if not problems.shared[j]:
+            solutions[j] = solve_qp(problems[j], warm=guess)
+            continue
+        normals = problems.templates[j]._normals
+        rows = _guess_rows(normals, guess)
+        if rows is not None:
+            groups.setdefault((len(rows), normals.c.shape), []).append((j, rows))
+    for members in groups.values():
+        idx = [j for j, _ in members]
+        normals = [problems.templates[j]._normals for j in idx]
+        offsets = problems.offsets[idx]
+        hits, w = _warm_points(
+            np.array([n.c for n in normals]),
+            np.array([n.gram for n in normals]),
+            # A shared member's finite offsets are its template's kept rows.
+            offsets[np.isfinite(offsets)].reshape(len(idx), -1),
+            problems.g[idx],
+            np.array([rows for _, rows in members]),
+        )
+        for j in np.flatnonzero(hits):
+            solutions[idx[j]] = QPSolution(
+                w=w[j], status="optimal", active_set=tuple(warm[idx[j]]), iterations=1
+            )
     return [
-        solve_qp(problem)
-        if w is None
-        else QPSolution(w=w, status="optimal", active_set=tuple(guess), iterations=1)
-        for problem, guess, w in zip(problems, warm, points)
+        solve_qp(problems[j]) if solution is None else solution
+        for j, solution in enumerate(solutions)
     ]
 
 

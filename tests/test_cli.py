@@ -188,6 +188,34 @@ def test_run_reuses_cached_region(workdir):
     assert (out / "for_region.csv").read_bytes() == region_before
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        b"theta_deg,p_pcc,q_pcc,binding_constraints\n0.0,0.5\n",
+        b"theta_deg,p_pcc,q_pcc,binding_constraints\n0.0,nan,0.1,\n",
+        b"theta_deg,p_pcc,q_pcc,binding_constraints\n",
+        b"\xff\xfe",
+    ],
+    ids=["short row", "NaN field", "header only", "not UTF-8"],
+)
+def test_unreadable_cached_region_is_charted_again(workdir, capsys, corrupt):
+    """A cache whose stamp matches but whose CSV does not read is stale, not fatal."""
+    path = write_scenario(workdir, base_doc())
+    out = workdir / "art"
+    assert main(["for", str(path), "--out", str(out)]) == 0
+    stamp = (out / "for_region.sha256").read_bytes()
+    (out / "for_region.csv").write_bytes(corrupt)
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "cached region unreadable" in err and "for_region.csv" in err
+    assert "Traceback" not in err
+    fresh = workdir / "fresh"
+    assert main(["for", str(path), "--out", str(fresh)]) == 0
+    assert (out / "for_region.csv").read_bytes() == (fresh / "for_region.csv").read_bytes()
+    assert (out / "for_region.sha256").read_bytes() == stamp
+
+
 def test_region_cache_recomputed_when_inputs_change(workdir):
     shutil.copy(grid_path("ring4_tightv"), workdir / "ring4_tightv.json")
     short = {"alpha": 0.1, "max_iterations": 20}

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from flexsafe import for_region
 from flexsafe.for_region import (
     ORACLE_CHUNK,
     FORError,
     FORPolygon,
     SweepConfig,
-    _Ray,
     _binding_labels,
     _push_rays,
     contains_many,
@@ -189,46 +189,76 @@ def test_read_rejects_foreign_csv(tmp_path):
         read_for_csv(path)
 
 
+HEADER = "theta_deg,p_pcc,q_pcc,binding_constraints\n"
+GOOD_ROWS = "0.0,1.0,0.0,\n120.0,-0.5,0.8,\n240.0,-0.5,-0.8,\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (HEADER + GOOD_ROWS + "0.0,0.5\n", r"line 5: expected 4 fields, got 2"),
+        (HEADER + "0.0,x,0.1,\n" + GOOD_ROWS, r"line 2: a field is not a number"),
+        (HEADER + GOOD_ROWS + "300.0,inf,0.0,\n", r"line 5: a field is not finite"),
+        (HEADER, r"a polygon needs at least 3 vertices, got 0"),
+        ("\udcff\udcfe", r"is not UTF-8 text \(byte 0\)"),
+    ],
+    ids=["short row", "not a number", "not finite", "header only", "not UTF-8"],
+)
+def test_read_names_the_path_and_line_of_a_bad_export(tmp_path, body, message):
+    path = tmp_path / "region.csv"
+    path.write_bytes(body.encode("utf-8", "surrogateescape"))
+    with pytest.raises(FORError, match=message) as exc:
+        read_for_csv(path)
+    assert str(exc.value).startswith(str(path))
+
+
 def _record_ray_guesses(monkeypatch) -> dict:
-    """Per ray angle, each step's (warm-start guess, step QP active set)."""
+    """Per ray direction, each step's (warm-start guess, step QP active set), read from the kernel.
+
+    A kernel member is known by the ray direction c of its row of the
+    stacked cost gradient; a member whose plant failed takes no step.
+    """
     recorded: dict = {}
-    init, advance = _Ray.__init__, _Ray.advance
+    kernel = for_region.closed_loop_step
 
-    def recording_init(self, grid, smap, theta, config):
-        init(self, grid, smap, theta, config)
-        self.recorded = recorded.setdefault(theta, [])
+    def recording(grid, u, smap, alpha, gradient, template, **kwargs):
+        stack, states = kernel(grid, u, smap, alpha, gradient, template, **kwargs)
+        for c, guess, tags, error in zip(
+            gradient.c, kwargs["warm"], stack.active_set, stack.errors
+        ):
+            if error is None:
+                recorded.setdefault(tuple(c.tolist()), []).append((guess, tags))
+        return stack, states
 
-    def recording_advance(self, step):
-        self.recorded.append((self.active_set, step.active_set))
-        return advance(self, step)
-
-    monkeypatch.setattr(_Ray, "__init__", recording_init)
-    monkeypatch.setattr(_Ray, "advance", recording_advance)
+    monkeypatch.setattr(for_region, "closed_loop_step", recording)
     return recorded
 
 
-def test_lockstep_sweep_equals_each_ray_alone(ring4, monkeypatch):
+@pytest.mark.parametrize("name", ["ring4", "ring4_tightv", "synth30"])
+def test_lockstep_sweep_equals_each_ray_alone(name, monkeypatch):
     """The rays pushed in lockstep give what each gives pushed alone, bit for bit.
 
     Each ray warm-starts its step QPs from its own last active set, so its
     guesses are those of the ray pushed alone.
     """
-    smap = compute_sensitivity(ring4)
+    grid = load_grid(grid_path(name))
+    smap = compute_sensitivity(grid)
     config = SweepConfig(n_angles=6)
     recorded = _record_ray_guesses(monkeypatch)
-    polygon = sweep_for(ring4, smap=smap, config=config)
+    polygon = sweep_for(grid, smap=smap, config=config)
     assert polygon.n_vertices == 6
     lockstep = dict(recorded)
     for i, theta in enumerate(polygon.angles):
+        ray = (math.cos(theta), math.sin(theta))
         recorded.clear()
-        ((u, state),) = _push_rays(ring4, smap, [theta], config)
-        assert recorded[theta] == lockstep[theta]
-        assert sum(guess == tags for guess, tags in recorded[theta]) > len(recorded[theta]) / 2
+        ((u, state),) = _push_rays(grid, smap, [theta], config)
+        assert recorded[ray] == lockstep[ray]
+        assert sum(guess == tags for guess, tags in recorded[ray]) > len(recorded[ray]) / 2
         assert np.array_equal(polygon.controls[i], u)
         assert tuple(polygon.vertices[i]) == (state.p_pcc, state.q_pcc)
-        assert polygon.binding[i] == _binding_labels(ring4, u, state)
-        assert_same_state(solve_power_flow(ring4, control=u), state)
-    violations, drift = verify_vertices(ring4, polygon)
+        assert polygon.binding[i] == _binding_labels(grid, u, state)
+        assert_same_state(solve_power_flow(grid, control=u), state)
+    violations, drift = verify_vertices(grid, polygon)
     assert np.all(drift == 0.0)
     assert np.max(violations) <= 1e-6
 

@@ -261,12 +261,27 @@ def test_config_validation():
         ControllerConfig(alpha=0.1, convergence_tol=-1.0)
 
 
+def _tracking_gradients(targets):
+    """One stacked gradient for members tracking their own set points; row i is grad_cost's."""
+    p_set = np.array([t.p_set for t in targets])
+    q_set = np.array([t.q_set for t in targets])
+
+    def gradient(y):
+        grad = np.zeros(y.values.shape)
+        grad[:, -2] = 2.0 * (y.p_pcc - p_set)
+        grad[:, -1] = 2.0 * (y.q_pcc - q_set)
+        return grad
+
+    return gradient
+
+
 def test_stacked_step_members_equal_their_own_steps(ring4, ring4_map, monkeypatch):
     """One kernel step over members with their own gains, templates, costs and guesses.
 
-    Each member's record and plant state are bit for bit its one-member
-    step with the same warm-start guess; a member whose plant fails gets
-    the error its own step raises, and the others go on.
+    The costs come as one stacked gradient.  Each member of the StepStack
+    and each plant state are bit for bit its one-member step with the same
+    warm-start guess; a member whose plant fails raises the error its own
+    step raises, and the others go on.
     """
     lower, upper = ring4.control_bounds()
     u = np.random.default_rng(8).uniform(lower, upper, size=(5, lower.size))
@@ -283,29 +298,38 @@ def test_stacked_step_members_equal_their_own_steps(ring4, ring4_map, monkeypatc
     assert own.active_set
     warm = [None, ((0, "lower"), (9, "upper")), own.active_set, ((1, "upper"),), 2 * own.active_set]
     solved = _record_step_qps(monkeypatch)
-    steps, states = closed_loop_step(
-        ring4, u, ring4_map, alphas, gradients, templates, k=5, initial=initial, warm=warm
+    stack, states = closed_loop_step(
+        ring4, u, ring4_map, alphas, _tracking_gradients(targets), templates,
+        k=5, initial=initial, warm=warm,
     )
     assert [guess for _, guess, _ in solved] == [warm[i] for i in (0, 1, 2, 4)]
     assert solved[2][2].iterations == 1 < solved[3][2].iterations  # hit, then fallback
-    assert len(steps) == len(states) == 5
+    assert len(stack) == len(states) == 5
+    assert stack.y.values.shape == (5, len(own.y)) and np.isnan(stack.y.values[3]).all()
     for i in range(5):
         args = (ring4, u[i], ring4_map, alphas[i], gradients[i], templates[i])
         if i == 3:
             with pytest.raises(PowerFlowError) as exc:
                 closed_loop_step(*args, k=5, initial=initial[i], warm=warm[i])
-            assert isinstance(steps[i], PowerFlowError) and str(steps[i]) == str(exc.value)
+            assert isinstance(stack.errors[i], PowerFlowError)
+            assert str(stack.errors[i]) == str(exc.value)
+            with pytest.raises(PowerFlowError) as raised:
+                stack[i]
+            assert raised.value is stack.errors[i]
+            assert stack.qp_status[i] == "plant_failed"
+            assert np.array_equal(stack.u_next[i], u[i], equal_nan=True)
             continue
         step, state = closed_loop_step(*args, k=5, initial=initial[i], warm=warm[i])
-        got = steps[i]
+        got = stack[i]
         for name in ("w", "u", "u_next"):
             assert np.array_equal(getattr(got, name), getattr(step, name)), name
+            assert np.array_equal(getattr(stack, name)[i], getattr(step, name)), name
         assert np.array_equal(got.y.values, step.y.values)
         assert (got.k, got.qp_status, got.active_set) == (step.k, step.qp_status, step.active_set)
         assert_same_state(states[i], state)
     # Members 2 and 4 take the same step: a hit and a fallback agree on the optimum.
-    assert steps[2].active_set == steps[4].active_set == own.active_set
-    assert np.max(np.abs(steps[2].w - steps[4].w)) <= 1e-12
+    assert stack.active_set[2] == stack.active_set[4] == own.active_set
+    assert np.max(np.abs(stack.w[2] - stack.w[4])) <= 1e-12
 
 
 def _record_step_qps(monkeypatch) -> list:

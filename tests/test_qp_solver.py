@@ -602,21 +602,29 @@ def test_stacked_solves_equal_each_member_alone(data, n, m, kinds):
     """Each member of solve_qp_stack is bit for bit its own solve_qp(problem, warm=guess).
 
     Members derive from one to three templates with m or m + 1 rows, so a
-    stack mixes matrices, shapes and guess sizes; a singular slice shares
-    its stack group with the members around it.  Reversing the stack
-    must not change any member's solution either.
+    stack mixes matrices and guess sizes, and stacks of two shapes are
+    solved; a singular slice shares its stack group with the members
+    around it.  Reversing the stack must not change any member's solution
+    either.
     """
     n_templates = data.draw(st.integers(1, 3))
     templates = [_problem(data, n, m + data.draw(st.integers(0, 1))) for _ in range(n_templates)]
-    problems = []
-    for _ in kinds:
-        template = data.draw(st.sampled_from(templates))
+    # Members of one matrix shape share a stack; each shape is a stack of its own.
+    members = [data.draw(st.sampled_from(templates)) for _ in kinds]
+    vectors = []
+    for template in members:
         lower, upper = _bounds(data, template.a.shape[0])
-        g = data.draw(arrays(np.float64, (n,), elements=ENTRY))
-        problems.append(template.with_vectors(g, lower, upper))
+        vectors.append((data.draw(arrays(np.float64, (n,), elements=ENTRY)), lower, upper))
+    problems = [template.with_vectors(*v) for template, v in zip(members, vectors)]
     guesses = [_guess(data, problem, kind) for problem, kind in zip(problems, kinds)]
-    stacked = solve_qp_stack(problems, guesses)
-    reversed_stack = solve_qp_stack(problems[::-1], guesses[::-1])[::-1]
+    stacked, reversed_stack = [None] * len(kinds), [None] * len(kinds)
+    for rows in {t.a.shape[0] for t in members}:
+        js = [j for j, t in enumerate(members) if t.a.shape[0] == rows]
+        for order, out in ((js, stacked), (js[::-1], reversed_stack)):
+            g, lower, upper = (np.array(x) for x in zip(*(vectors[j] for j in order)))
+            stack = derive_stack([members[j] for j in order], g, lower, upper)
+            for j, sol in zip(order, solve_qp_stack(stack, [guesses[j] for j in order])):
+                out[j] = sol
     for problem, guess, sol, again in zip(problems, guesses, stacked, reversed_stack):
         alone = solve_qp(problem, warm=guess)
         hit = guess and alone.iterations == 1 and alone.active_set == tuple(guess)
@@ -648,7 +656,7 @@ def test_derive_stack_checks_the_stack_as_the_constructor_does():
     template = box([0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
     good = np.zeros((2, 2)), -np.ones((2, 2)), np.ones((2, 2))
     assert len(derive_stack([template] * 2, *good)) == 2
-    assert derive_stack([], np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2))) == []
+    assert len(derive_stack([], np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)))) == 0
     g, lower, upper = (x.copy() for x in good)
     g[1, 0] = np.inf
     with pytest.raises(QPError, match="g has non-finite entries"):
