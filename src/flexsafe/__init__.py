@@ -88,6 +88,7 @@ from flexsafe.uncertainty_mc import (
     density_histogram,
     export_histogram_csv,
     run_monte_carlo,
+    run_trial,
     sample_load_noise,
 )
 from flexsafe.scenario import ScenarioConfig, ScenarioError, load_scenario

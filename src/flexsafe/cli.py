@@ -28,7 +28,6 @@ from flexsafe.ofo_controller import (
     ControllerError,
     SetPoint,
     export_trajectory_csv,
-    run_schedule,
 )
 from flexsafe.for_region import (
     FORError,
@@ -41,11 +40,11 @@ from flexsafe.for_region import (
 )
 from flexsafe.trajectory_analysis import robustness_verdict, verdict_payload
 from flexsafe.uncertainty_mc import (
-    TrialNoise,
     critical_fraction,
     density_histogram,
     export_histogram_csv,
     run_monte_carlo,
+    run_trial,
 )
 from flexsafe.scenario import HULL_VERTICES, ScenarioConfig, ScenarioError, load_scenario
 
@@ -173,11 +172,11 @@ def _cmd_run(args) -> int:
     noise_cfg = sc.noise
     if noise_cfg is not None and args.seed is not None:
         noise_cfg = replace(noise_cfg, seed=args.seed)
-    noise = TrialNoise(noise_cfg, trial=0) if noise_cfg is not None else None
 
     trajectories = []
     for schedule in _resolve_schedules(sc, polygon):
-        traj = run_schedule(sc.grid, smap, schedule, sc.controller, u0=sc.u0, noise=noise)
+        # Each run is trial 0 of an mc study of its schedule.
+        traj = run_trial(sc.grid, smap, schedule, sc.controller, noise_cfg, sc.u0, 0)
         export_trajectory_csv(traj, sc.grid, out / f"trajectory_{len(trajectories):03d}.csv")
         trajectories.append(traj)
 

@@ -259,7 +259,7 @@ def build_step_qp(
     upper = np.concatenate([upper_u - u, grid.v_max - y.v, grid.s_max - y.s], axis=-1)
     m_t = smap.matrix.T
     if u.ndim == 1:
-        return template.with_vectors(2.0 * (m_t @ grad_phi), lower, upper)
+        return derive_stack([template], 2.0 * (m_t @ grad_phi)[None], lower[None], upper[None])[0]
     return derive_stack(template, 2.0 * np.matmul(m_t, grad_phi[..., None])[..., 0], lower, upper)
 
 
@@ -289,17 +289,22 @@ def closed_loop_step(
 
     A (K, n_u) stack of controls steps K independent members in lockstep:
     ``alpha``, ``template`` and ``warm`` (if given) then hold one entry per
-    member, ``initial`` is a StateStack, and ``noise`` may drive a stack of
-    one only.  ``gradient`` is then one callable for the stack: it maps the
-    (K, n_y) MeasurementVector to the (K, n_y) gradients, row i member
-    i's own; a member whose plant failed has a NaN row, and its gradient
-    row is not read.  The plant is solved as one stack, and the
-    measurements, step QPs (build_step_qp), warm tests (solve_qp_stack)
-    and clip are formed for the whole stack; a member whose guess misses is
-    solved cold on its own.  Returns the StepStack, which holds per member
-    its step or the PowerFlowError that stopped it, and the StateStack.  A
-    member's results are bit for bit those of its own one-member step; one
-    control vector is the one-member case.
+    member, ``initial`` is a StateStack, and ``noise`` must be None (a
+    stack of any size, one included, raises ValueError).  ``gradient`` is
+    then one callable for the stack: it maps the (K, n_y) MeasurementVector
+    to the (K, n_y) gradients, row i member i's own; a member whose plant
+    failed has a NaN row, and its gradient row is not read.  The plant is
+    solved as one stack, and the measurements, step QPs (build_step_qp),
+    warm tests (solve_qp_stack) and clip are formed for the whole stack; a
+    member whose guess misses is solved cold on its own.  Returns the
+    StepStack, which holds per member its step or the PowerFlowError that
+    stopped it, and the StateStack.  A member's results are bit for bit
+    those of its own one-member step; one control vector is the one-member
+    case.
+
+    One control vector keeps its own branch: as a stack of one, ``flexsafe run``
+    on a 30-bus, 1,617-step schedule took 17% longer on a 2-core machine
+    (median 1.02 -> 1.20 s, slower in 10 of 10 alternating pairs).
     """
     u = np.asarray(u, dtype=float)
     single = u.ndim == 1

@@ -20,6 +20,7 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from numbers import Real
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -174,8 +175,18 @@ class TrialNoise:
         )
 
 
-def _run_trial(args) -> Trajectory:
-    grid, smap, schedule, controller_config, noise_config, u0, trial = args
+def run_trial(
+    grid: GridModel,
+    smap: SensitivityMap,
+    schedule: Sequence[SetPoint],
+    controller_config: ControllerConfig,
+    noise_config: NoiseConfig | None,
+    u0: np.ndarray | None,
+    trial: int,
+) -> Trajectory:
+    """run_schedule under every channel of TrialNoise(noise_config, trial), or noise-free."""
+    if noise_config is None:
+        return run_schedule(grid, smap, schedule, controller_config, u0=u0)
     noise = TrialNoise(noise_config, trial)
     return run_schedule(
         grid, noise.sensitivity(smap), schedule, controller_config, u0=u0, noise=noise
@@ -194,10 +205,10 @@ def run_monte_carlo(
 ) -> TrajectorySet:
     """Run n_trials independent closed-loop realizations.
 
-    ``jobs`` only chooses the executor; results are identical for any value
-    because every trial's randomness is keyed by its index.  Aborted runs
-    stay in the set (the classifier must see them) and are additionally
-    listed in ``failures``.
+    Trial t is run_trial(..., t), on min(jobs, n_trials) processes; results
+    are identical for any ``jobs`` because every trial's randomness is
+    keyed by its index.  Aborted runs stay in the set (the classifier must
+    see them) and are additionally listed in ``failures``.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
@@ -205,16 +216,15 @@ def run_monte_carlo(
         raise ValueError("jobs must be positive")
     if smap is None:
         smap = compute_sensitivity(grid)
-    work = [
-        (grid, smap, tuple(schedule), controller_config, noise_config, u0, t)
-        for t in range(n_trials)
-    ]
-    if jobs == 1:
-        trajectories = [_run_trial(w) for w in work]
+    run_one = partial(run_trial, grid, smap, tuple(schedule), controller_config, noise_config, u0)
+    # A fork pool starts all its workers at once, so never more than trials.
+    workers = min(jobs, n_trials)
+    if workers == 1:
+        trajectories = [run_one(t) for t in range(n_trials)]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            chunk = max(1, n_trials // (4 * jobs))
-            trajectories = list(ex.map(_run_trial, work, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            chunk = max(1, n_trials // (4 * workers))
+            trajectories = list(ex.map(run_one, range(n_trials), chunksize=chunk))
     failures = tuple(
         TrialFailure(trial=t, reason=traj.abort_reason or "aborted")
         for t, traj in enumerate(trajectories)

@@ -12,6 +12,10 @@ import pytest
 
 import flexsafe
 from flexsafe.cli import main
+from flexsafe.ofo_controller import export_trajectory_csv
+from flexsafe.scenario import load_scenario
+from flexsafe.sensitivity import compute_sensitivity
+from flexsafe.uncertainty_mc import run_monte_carlo
 
 from conftest import grid_path
 
@@ -330,6 +334,26 @@ def test_mc_artifacts_and_reruns_identical(workdir):
     for name in ("mc_summary.json", "mc_histogram.csv", "mc_histogram_k2.csv"):
         assert (out1 / name).exists(), name
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_run_is_trial_zero_of_mc_under_every_channel(workdir):
+    """`run` applies the scenario's noise as mc's trial 0, the sensitivity channel included."""
+    controller = {"alpha": 0.1, "max_iterations": 40}
+    noisy = write_scenario(
+        workdir, base_doc(controller=controller, noise={**NOISE, "sens_bounds": [-0.3, 0.3]})
+    )
+    plain = write_scenario(workdir, base_doc(controller=controller, noise=NOISE), name="plain.json")
+    assert main(["run", str(noisy), "--out", str(workdir / "noisy")]) == 0
+    assert main(["run", str(plain), "--out", str(workdir / "plain")]) == 0
+    sc = load_scenario(noisy)
+    tset = run_monte_carlo(
+        sc.grid, list(sc.schedule), sc.controller, sc.noise, n_trials=1,
+        smap=compute_sensitivity(sc.grid, sc.u0), u0=sc.u0,
+    )
+    export_trajectory_csv(tset.trajectories[0], sc.grid, workdir / "trial0.csv")
+    written = (workdir / "noisy" / "trajectory_000.csv").read_bytes()
+    assert written == (workdir / "trial0.csv").read_bytes()
+    assert written != (workdir / "plain" / "trajectory_000.csv").read_bytes()
 
 
 def test_mc_seed_override_changes_results(workdir):

@@ -374,13 +374,15 @@ def test_every_solved_step_qp_passes_the_kkt_check(loop, ring4, synth30, monkeyp
         assert check_kkt(problem, solution.w).residual < 1e-8
 
 
-def test_noise_drives_one_member_only(ring4, ring4_map, config):
+@pytest.mark.parametrize("k", [1, 2])
+def test_noise_drives_one_member_only(ring4, ring4_map, config, k):
+    """A noise model drives one control vector; a stack of any size is refused."""
     from flexsafe.uncertainty_mc import NoiseConfig, TrialNoise
 
     noise = TrialNoise(NoiseConfig(seed=1, meas_bounds=(-0.01, 0.01)), trial=0)
     template = step_qp_template(ring4, ring4_map, config.alpha)
-    u = np.zeros((2, 2 * ring4.n_ctrl))
+    u = np.zeros((k, 2 * ring4.n_ctrl))
     with pytest.raises(ValueError, match="one member"):
         closed_loop_step(
-            ring4, u, ring4_map, [0.1, 0.1], [np.zeros_like] * 2, [template] * 2, noise=noise
+            ring4, u, ring4_map, [0.1] * k, np.zeros_like, [template] * k, noise=noise
         )

@@ -252,7 +252,30 @@ def test_overflowing_gram_matrix_rejected():
         with pytest.raises(QPError, match="Gram matrix"):
             solve_qp(problem)
         with pytest.raises(QPError, match="Gram matrix"):
-            problem.with_vectors(np.zeros(2), -np.ones(2), np.ones(2))
+            derive_stack([problem], np.zeros((1, 2)), -np.ones((1, 2)), np.ones((1, 2)))
+
+
+def test_full_active_set_takes_no_rounding_step():
+    """As many independent active rows as variables leave no primal step.
+
+    Rows 0 and 3 are one equality; with rows 1, 2 and 4 active, adding
+    either of them has z = 0 exactly.  Its rounding residue (2.9e-7, the
+    slice is ill-conditioned) used to pass for a step: the method cycled
+    between the twin rows with a growing w until it overflowed, instead of
+    finding rows 4 and 5 contradictory.
+    """
+    normal = np.array([2.0, 1e-3, 7.859375])
+    twin = [0.0, 1.0, 0.0]
+    a = np.vstack([twin, [5.0, 0.0, -1.0], [3.0, 0.0, 0.0], twin, normal, normal])
+    problem = QuadraticProgram(
+        g=np.zeros(3),
+        a=a,
+        lower=np.array([0.0, 0.0, -1.0, 0.0, 2.0, -np.inf]),
+        upper=np.array([0.0, 0.0, -1.0, 0.0, np.inf, 1.0]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve_qp(problem).status == "infeasible"
 
 
 def test_iteration_cap_reported():
@@ -414,6 +437,20 @@ def _bounds(data, m):
     return lower, upper
 
 
+def _shifted(data, problem):
+    """problem's bounds moved by one drawn shift per row: infinite where problem's are."""
+    shift = data.draw(arrays(np.float64, (problem.a.shape[0],), elements=ENTRY))
+    return problem.lower + shift, problem.upper + shift
+
+
+def _own_pattern_row(template, lower, upper):
+    """The first row whose bounds are infinite where template's are not, or the other way."""
+    differs = (np.isinf(lower) != np.isinf(template.lower)) | (
+        np.isinf(upper) != np.isinf(template.upper)
+    )
+    return int(np.flatnonzero(differs)[0]) if differs.any() else None
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
@@ -421,23 +458,25 @@ def _bounds(data, m):
     m=st.integers(0, 7),
     same_pattern=st.booleans(),
 )
-def test_with_vectors_matches_fresh_problem(data, n, m, same_pattern):
-    """A derived problem expands and solves exactly as one built from scratch."""
+def test_derived_member_matches_fresh_problem(data, n, m, same_pattern):
+    """A one-member stack expands and solves exactly as a problem built from scratch.
+
+    A member whose infinite bounds are not where its template's are is
+    refused, naming the member and the first such row.
+    """
     a = data.draw(arrays(np.float64, (m, n), elements=ENTRY))
     template_lower, template_upper = _bounds(data, m)
     template = QuadraticProgram(g=np.zeros(n), a=a, lower=template_lower, upper=template_upper)
     g = data.draw(arrays(np.float64, (n,), elements=ENTRY))
-    if same_pattern:
-        shift = data.draw(arrays(np.float64, (m,), elements=ENTRY))
-        lower, upper = template_lower + shift, template_upper + shift
-    else:
-        lower, upper = _bounds(data, m)
-    derived = template.with_vectors(g, lower, upper)
+    lower, upper = _shifted(data, template) if same_pattern else _bounds(data, m)
+    own_row = _own_pattern_row(template, lower, upper)
+    if own_row is not None:
+        with pytest.raises(QPError, match=rf"^member 0, row {own_row}: "):
+            derive_stack([template], g[None], lower[None], upper[None])
+        return
+    derived = derive_stack([template], g[None], lower[None], upper[None])[0]
     fresh = QuadraticProgram(g=g, a=a, lower=lower, upper=upper)
-    shares = np.array_equal(np.isinf(lower), np.isinf(template_lower)) and np.array_equal(
-        np.isinf(upper), np.isinf(template_upper)
-    )
-    assert (derived._normals is template._normals) == shares
+    assert derived._normals is template._normals
     (c, b, tags), (c_ref, b_ref, tags_ref) = derived.expanded, fresh.expanded
     assert np.array_equal(c, c_ref) and np.array_equal(b, b_ref) and tags == tags_ref
     sol, ref = solve_qp(derived), solve_qp(fresh)
@@ -446,16 +485,21 @@ def test_with_vectors_matches_fresh_problem(data, n, m, same_pattern):
     assert sol.active_set == ref.active_set
 
 
-def test_with_vectors_checks_the_new_vectors():
-    template = box([0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
-    with pytest.raises(QPError, match="non-finite"):
-        template.with_vectors(np.array([np.nan, 0.0]), template.lower, template.upper)
-    with pytest.raises(QPError, match="one entry per constraint row"):
-        template.with_vectors(np.zeros(2), np.zeros(3), np.ones(2))
-    with pytest.raises(QPError, match="columns"):
-        template.with_vectors(np.zeros(3), template.lower, template.upper)
-    with pytest.raises(QPError, match="exceeds upper"):
-        template.with_vectors(np.zeros(2), np.ones(2), np.zeros(2))
+def test_derive_stack_names_a_member_with_bounds_of_its_own():
+    """Every member shares its template's normals, so its infinite bounds must be the template's."""
+    template = box([0.0, 0.0], [-1.0, -np.inf], [1.0, 1.0])
+    members = [template] * 3
+    g, lower, upper = np.zeros((3, 2)), np.tile(template.lower, (3, 1)), np.ones((3, 2))
+    assert len(derive_stack(members, g, lower, upper)) == 3
+    lower[2, 0] = -np.inf
+    with pytest.raises(QPError, match="^member 2, row 0: lower bound infinite, template's finite$"):
+        derive_stack(members, g, lower, upper)
+    lower[2, 0], lower[1, 1] = -1.0, 0.0
+    with pytest.raises(QPError, match="^member 1, row 1: lower bound finite, template's infinite$"):
+        derive_stack(members, g, lower, upper)
+    lower[1, 1], upper[0, 1] = -np.inf, np.inf
+    with pytest.raises(QPError, match="^member 0, row 1: upper bound infinite, template's finite$"):
+        derive_stack(members, g, lower, upper)
 
 
 def _problem(data, n, m):
@@ -613,9 +657,11 @@ def test_stacked_solves_equal_each_member_alone(data, n, m, kinds):
     members = [data.draw(st.sampled_from(templates)) for _ in kinds]
     vectors = []
     for template in members:
-        lower, upper = _bounds(data, template.a.shape[0])
+        lower, upper = _shifted(data, template)
         vectors.append((data.draw(arrays(np.float64, (n,), elements=ENTRY)), lower, upper))
-    problems = [template.with_vectors(*v) for template, v in zip(members, vectors)]
+    problems = [
+        derive_stack([template], *(x[None] for x in v))[0] for template, v in zip(members, vectors)
+    ]
     guesses = [_guess(data, problem, kind) for problem, kind in zip(problems, kinds)]
     stacked, reversed_stack = [None] * len(kinds), [None] * len(kinds)
     for rows in {t.a.shape[0] for t in members}:
@@ -635,19 +681,33 @@ def test_stacked_solves_equal_each_member_alone(data, n, m, kinds):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=st.integers(1, 4), m=st.integers(0, 6), k=st.integers(1, 6))
-def test_derive_stack_matches_each_with_vectors(data, n, m, k):
-    """Stacked derivation gives each member what its template's with_vectors gives."""
+def test_derive_stack_matches_each_member_alone(data, n, m, k):
+    """Stacked derivation gives each member what its own stack of one gives.
+
+    Each member's bounds keep its template's infinite entries or, when a
+    drawn flag says so, have a pattern of their own; a stack with such a
+    member is refused, naming the first one.
+    """
     templates = [_problem(data, n, m) for _ in range(data.draw(st.integers(1, 3)))]
     members = [data.draw(st.sampled_from(templates)) for _ in range(k)]
     g = data.draw(arrays(np.float64, (k, n), elements=ENTRY))
-    lower, upper = map(np.array, zip(*(_bounds(data, m) for _ in range(k))))
-    stack = derive_stack(members, g, lower.reshape(k, m), upper.reshape(k, m))
-    for j, (template, derived) in enumerate(zip(members, stack)):
-        alone = template.with_vectors(g[j], lower[j], upper[j])
+    own = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    bounds = [_bounds(data, m) if o else _shifted(data, t) for t, o in zip(members, own)]
+    lower, upper = (np.array(x).reshape(k, m) for x in zip(*bounds))
+    own_rows = [_own_pattern_row(t, lower[j], upper[j]) for j, t in enumerate(members)]
+    if any(row is not None for row in own_rows):
+        j = next(j for j, row in enumerate(own_rows) if row is not None)
+        with pytest.raises(QPError, match=rf"^member {j}, row {own_rows[j]}: "):
+            derive_stack(members, g, lower, upper)
+        return
+    stack = derive_stack(members, g, lower, upper)
+    for j, template in enumerate(members):
+        derived = stack[j]
+        alone = derive_stack([template], g[j : j + 1], lower[j : j + 1], upper[j : j + 1])[0]
         assert derived.a is template.a
         for name in ("g", "lower", "upper"):
             assert np.array_equal(getattr(derived, name), getattr(alone, name)), name
-        assert (derived._normals is template._normals) == (alone._normals is template._normals)
+        assert derived._normals is template._normals is alone._normals
         (c, b, tags), (c_ref, b_ref, tags_ref) = derived.expanded, alone.expanded
         assert np.array_equal(c, c_ref) and np.array_equal(b, b_ref) and tags == tags_ref
 
@@ -670,3 +730,12 @@ def test_derive_stack_checks_the_stack_as_the_constructor_does():
     lower[1, 1] = 2.0
     with pytest.raises(QPError, match=r"row 1: lower bound 2.0 exceeds upper 1.0"):
         derive_stack([template] * 2, good[0], lower, upper)
+    # A stack of one, as a lone step QP is derived, is checked the same way.
+    with pytest.raises(QPError, match="non-finite"):
+        derive_stack([template], np.array([[np.nan, 0.0]]), lower[:1], upper[:1])
+    with pytest.raises(QPError, match="one entry per constraint row"):
+        derive_stack([template], np.zeros((1, 2)), np.zeros((1, 3)), np.ones((1, 2)))
+    with pytest.raises(QPError, match="columns"):
+        derive_stack([template], np.zeros((1, 3)), lower[:1], upper[:1])
+    with pytest.raises(QPError, match="exceeds upper"):
+        derive_stack([template], np.zeros((1, 2)), np.ones((1, 2)), np.zeros((1, 2)))

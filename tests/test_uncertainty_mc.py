@@ -7,6 +7,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+from flexsafe import uncertainty_mc
 from flexsafe.for_region import FORPolygon
 from flexsafe.grid_model import GridModel, load_grid
 from flexsafe.ofo_controller import ControllerConfig, SetPoint, run_schedule
@@ -175,6 +176,32 @@ def test_parallel_matches_serial(mc_inputs):
         assert a.converged == b.converged
         assert np.array_equal(a.pcc_path(), b.pcc_path())
         assert np.array_equal(a.control_path(), b.control_path())
+
+
+@pytest.mark.parametrize("jobs, n_trials, pool", [(1000, 3, 3), (2, 3, 2), (1000, 1, None)])
+def test_pool_is_no_larger_than_the_trial_count(mc_inputs, monkeypatch, jobs, n_trials, pool):
+    """A fork pool starts every worker at once: never more workers than trials, one runs inline."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(uncertainty_mc, "ProcessPoolExecutor", InlinePool)
+    grid, schedule, controller, noise = mc_inputs
+    short = ControllerConfig(alpha=controller.alpha, max_iterations=5)
+    tset = run_monte_carlo(grid, schedule, short, noise, n_trials=n_trials, jobs=jobs)
+    assert len(tset) == n_trials
+    assert sizes == ([] if pool is None else [pool])
 
 
 def test_ensemble_is_seed_deterministic(mc_inputs):
