@@ -730,12 +730,17 @@ def test_derive_stack_checks_the_stack_as_the_constructor_does():
     lower[1, 1] = 2.0
     with pytest.raises(QPError, match=r"row 1: lower bound 2.0 exceeds upper 1.0"):
         derive_stack([template] * 2, good[0], lower, upper)
-    # A stack of one, as a lone step QP is derived, is checked the same way.
+
+
+def test_with_vectors_checks_the_new_vectors():
+    """A lone step QP, derived as a stack of one, has its new vectors checked as the constructor does."""
+    template = box([0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
+    lower, upper = template.lower[None], template.upper[None]
     with pytest.raises(QPError, match="non-finite"):
-        derive_stack([template], np.array([[np.nan, 0.0]]), lower[:1], upper[:1])
+        derive_stack([template], np.array([[np.nan, 0.0]]), lower, upper)
     with pytest.raises(QPError, match="one entry per constraint row"):
         derive_stack([template], np.zeros((1, 2)), np.zeros((1, 3)), np.ones((1, 2)))
     with pytest.raises(QPError, match="columns"):
-        derive_stack([template], np.zeros((1, 3)), lower[:1], upper[:1])
+        derive_stack([template], np.zeros((1, 3)), lower, upper)
     with pytest.raises(QPError, match="exceeds upper"):
         derive_stack([template], np.zeros((1, 2)), np.ones((1, 2)), np.zeros((1, 2)))
