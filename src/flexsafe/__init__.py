@@ -43,6 +43,7 @@ from flexsafe.ofo_controller import (
     ControllerError,
     NoiseModel,
     OFOStep,
+    StepRecord,
     StepStack,
     SetPoint,
     Trajectory,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -139,16 +140,48 @@ class StepStack:
         """
         if self.errors[i] is not None:
             raise self.errors[i]
-        y = self.y
-        return OFOStep(
-            k=self.k,
-            y=MeasurementVector(y.values[i].copy(), y.n_bus, y.n_branch),
-            w=self.w[i].copy(),
-            u=self.u[i].copy(),
-            u_next=self.u_next[i].copy(),
-            qp_status=self.qp_status[i],
-            active_set=self.active_set[i],
-        )
+        return _row_step(self, i, self.k)
+
+
+@dataclass(frozen=True, eq=False)
+class StepRecord:
+    """A run's steps as arrays; row k is step k.
+
+    The fields are OFOStep's with a leading step axis: ``y`` holds the
+    (n_steps, n_y) measurements, ``w``, ``u`` and ``u_next`` are
+    (n_steps, n_u) arrays, and ``qp_status`` and ``active_set`` hold one
+    entry per step.  ``record[k]`` builds step k's OFOStep on each access
+    and keeps nothing, so the record stays these fields alone.
+    """
+
+    y: MeasurementVector
+    w: np.ndarray
+    u: np.ndarray
+    u_next: np.ndarray
+    qp_status: tuple[str, ...]
+    active_set: tuple[tuple[tuple[int, str], ...], ...]
+
+    def __len__(self) -> int:
+        return self.u.shape[0]
+
+    def __getitem__(self, k: int) -> OFOStep:
+        """Step k as an OFOStep, with arrays of its own."""
+        k = range(len(self))[k]  # negative k counts from the end; IndexError ends iteration
+        return _row_step(self, k, k)
+
+
+def _row_step(rows: StepStack | StepRecord, i: int, k: int) -> OFOStep:
+    """Row i of a step stack or record as iteration k's OFOStep."""
+    y = rows.y
+    return OFOStep(
+        k=k,
+        y=MeasurementVector(y.values[i].copy(), y.n_bus, y.n_branch),
+        w=rows.w[i].copy(),
+        u=rows.u[i].copy(),
+        u_next=rows.u_next[i].copy(),
+        qp_status=rows.qp_status[i],
+        active_set=rows.active_set[i],
+    )
 
 
 @dataclass(frozen=True)
@@ -163,10 +196,16 @@ class SegmentRecord:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Closed-loop record: one true plant state per recorded step."""
+    """Closed-loop record as arrays: each step and the true plant state it measured.
 
-    steps: tuple[OFOStep, ...]
-    states: tuple[SystemState, ...]
+    ``steps`` is a StepRecord and ``states`` a StateStack whose member axis
+    is the step.  ``steps[k]`` and ``states[k]`` build step k's OFOStep and
+    SystemState on access, and nothing per step is kept, so a pickled
+    trajectory (what a Monte Carlo worker returns) holds only arrays.
+    """
+
+    steps: StepRecord
+    states: StateStack
     segments: tuple[SegmentRecord, ...]
     converged: bool
     aborted: bool = False
@@ -183,11 +222,69 @@ class Trajectory:
 
     def pcc_path(self) -> np.ndarray:
         """True (p_pcc, q_pcc) per step, shape (n_steps, 2)."""
-        return np.array([[st.p_pcc, st.q_pcc] for st in self.states]).reshape(-1, 2)
+        return np.column_stack([self.states.p_pcc, self.states.q_pcc])
 
-    def control_path(self) -> np.ndarray:
-        """Applied control per step, shape (n_steps, n_u)."""
-        return np.array([s.u for s in self.steps])
+
+class _RunRecord:
+    """A run's steps as one growing buffer per field.
+
+    A step appends its values' bytes and keeps no object of its own, and
+    finish() views each buffer as an (n_steps, ...) array without a copy,
+    so the record is never held twice.  Keeping each step's arrays and
+    stacking them at the end would leave the freed arrays in the
+    allocator's heap beside the new stacks, and raise a long run's peak
+    resident set.
+    """
+
+    STEP = ("w", "u", "u_next")
+    STATE = ("v", "theta", "s_flows")
+    SCALARS = {"p_pcc": "d", "q_pcc": "d", "mismatch": "d", "converged": "b", "iterations": "q"}
+
+    def __init__(self):
+        self.buffers = {name: array("d") for name in ("y", *self.STEP, *self.STATE)}
+        self.buffers.update((name, array(code)) for name, code in self.SCALARS.items())
+        self.qp_status: list[str] = []
+        self.active_set: list[tuple[tuple[int, str], ...]] = []
+
+    def append(self, step: OFOStep, state: SystemState) -> None:
+        buf = self.buffers
+        buf["y"].frombytes(step.y.values.tobytes())
+        for name in self.STEP:
+            buf[name].frombytes(getattr(step, name).tobytes())
+        for name in self.STATE:
+            buf[name].frombytes(getattr(state, name).tobytes())
+        for name in self.SCALARS:
+            buf[name].append(getattr(state, name))
+        self.qp_status.append(step.qp_status)
+        self.active_set.append(step.active_set)
+
+    def _view(self, name: str, *shape: int, dtype=float) -> np.ndarray:
+        return np.frombuffer(self.buffers[name], dtype=dtype).reshape(len(self.qp_status), *shape)
+
+    def finish(self, grid: GridModel, n_u: int) -> tuple[StepRecord, StateStack]:
+        n, m = grid.n_bus, grid.n_branch
+        steps = StepRecord(
+            y=MeasurementVector(self._view("y", n + m + 2), n, m),
+            w=self._view("w", n_u),
+            u=self._view("u", n_u),
+            u_next=self._view("u_next", n_u),
+            qp_status=tuple(self.qp_status),
+            active_set=tuple(self.active_set),
+        )
+        newton = self._view("iterations", dtype=np.int64)
+        states = StateStack(
+            v=self._view("v", n),
+            theta=self._view("theta", n),
+            s_flows=self._view("s_flows", m),
+            p_pcc=self._view("p_pcc"),
+            q_pcc=self._view("q_pcc"),
+            converged=self._view("converged", dtype=bool),
+            steps=newton,
+            mismatch=self._view("mismatch"),
+            failures=(None,) * len(newton),
+            iterations=int(newton.max(initial=0)),
+        )
+        return steps, states
 
 
 def grad_cost(y: MeasurementVector, setpoint: SetPoint) -> np.ndarray:
@@ -390,7 +487,9 @@ def run_schedule(
     returned rather than raised so ensemble studies can keep the evidence.
     Each step's power flow starts from the previous step's true state, and
     every step derives its QP from one step_qp_template and warm-starts it
-    from the active set of the last step whose QP was solved.
+    from the active set of the last step whose QP was solved.  The run keeps
+    only each step's values, one buffer per field, and returns them as the
+    Trajectory's StepRecord and StateStack.
     """
     if not schedule:
         raise ControllerError("schedule must contain at least one set point")
@@ -399,8 +498,7 @@ def run_schedule(
     else:
         u, _ = clip_control(grid, np.asarray(u0, dtype=float))
 
-    steps: list[OFOStep] = []
-    states: list[SystemState] = []
+    record = _RunRecord()
     segments: list[SegmentRecord] = []
     k = 0
     aborted = False
@@ -422,8 +520,7 @@ def run_schedule(
                 aborted = True
                 reason = str(exc)
                 break
-            steps.append(step)
-            states.append(state)
+            record.append(step, state)
             if step.qp_status == "optimal":
                 warm = step.active_set
             k += 1
@@ -442,9 +539,10 @@ def run_schedule(
         and len(segments) == len(schedule)
         and all(s.converged for s in segments)
     )
+    steps, states = record.finish(grid, u.size)
     return Trajectory(
-        steps=tuple(steps),
-        states=tuple(states),
+        steps=steps,
+        states=states,
         segments=tuple(segments),
         converged=converged,
         aborted=aborted,
@@ -454,27 +552,20 @@ def run_schedule(
 
 def export_trajectory_csv(traj: Trajectory, grid: GridModel, path: str | Path) -> None:
     """Per-iteration record: k, applied control, true PCC flow, cost, QP status."""
-    owner = {}
-    for seg in traj.segments:
-        for k in range(seg.start, seg.stop):
-            owner[k] = seg.setpoint
+    steps, states = traj.steps, traj.states
+    targets = [seg.setpoint for seg in traj.segments for _ in range(seg.start, seg.stop)]
+    rows = zip(
+        steps.u, states.p_pcc.tolist(), states.q_pcc.tolist(), targets,
+        steps.qp_status, steps.active_set,
+    )
     header = ["k", *control_labels(grid), "p_pcc", "q_pcc", "phi", "qp_status", "active_count"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for step, state in zip(traj.steps, traj.states):
-            sp = owner[step.k]
-            phi = (state.p_pcc - sp.p_set) ** 2 + (state.q_pcc - sp.q_set) ** 2
+        for k, (u, p, q, sp, status, active) in enumerate(rows):
+            phi = (p - sp.p_set) ** 2 + (q - sp.q_set) ** 2
             writer.writerow(
-                [
-                    step.k,
-                    *[repr(float(x)) for x in step.u],
-                    repr(float(state.p_pcc)),
-                    repr(float(state.q_pcc)),
-                    repr(float(phi)),
-                    step.qp_status,
-                    len(step.active_set),
-                ]
+                [k, *map(repr, u.tolist()), repr(p), repr(q), repr(phi), status, len(active)]
             )
 
 

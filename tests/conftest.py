@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from flexsafe.grid_model import GridModel, load_grid
-from flexsafe.power_flow import MeasurementVector, SystemState
+from flexsafe.power_flow import MeasurementVector, StateStack, SystemState
 from flexsafe.qp_solver import QuadraticProgram
-from flexsafe.ofo_controller import OFOStep, SegmentRecord, SetPoint, Trajectory
+from flexsafe.ofo_controller import SegmentRecord, SetPoint, StepRecord, Trajectory
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ALL_GRIDS = ("twobus", "ring4", "boxcase", "ring4_tightv", "synth30")
@@ -120,47 +120,44 @@ def twobus_closed_form(p_inj: float, q_inj: float, x: float):
     return v2, theta2, -b / x, (1.0 - a) / x
 
 
-def make_state(p: float, q: float) -> SystemState:
-    """Minimal converged plant state carrying only a PCC point."""
-    return SystemState(
-        v=np.ones(1),
-        theta=np.zeros(1),
-        s_flows=np.zeros(0),
-        p_pcc=float(p),
-        q_pcc=float(q),
-        converged=True,
-        iterations=1,
-        mismatch=0.0,
-    )
-
-
 def make_trajectory(
     points, aborted: bool = False, converged: bool = True, target=None
 ) -> Trajectory:
-    """Real Trajectory object with planted PCC points, for classifier tests."""
-    points = [(float(p), float(q)) for p, q in points]
+    """Real Trajectory object with planted PCC points, for classifier tests.
+
+    Each state is a minimal converged one-bus state carrying only its PCC
+    point; each step holds zero controls and an optimal QP.
+    """
+    pts = np.array(points, dtype=float).reshape(-1, 2)
+    n = len(pts)
     if target is None:
-        target = points[-1] if points else (0.0, 0.0)
-    states = tuple(make_state(p, q) for p, q in points)
-    zeros = np.zeros(2)
-    y = MeasurementVector(values=np.zeros(3), n_bus=1, n_branch=0)
-    steps = tuple(
-        OFOStep(
-            k=i,
-            y=y,
-            w=zeros,
-            u=zeros,
-            u_next=zeros,
-            qp_status="optimal",
-            active_set=(),
-        )
-        for i in range(len(points))
+        target = tuple(pts[-1]) if n else (0.0, 0.0)
+    zeros = np.zeros((n, 2))
+    steps = StepRecord(
+        y=MeasurementVector(values=np.zeros((n, 3)), n_bus=1, n_branch=0),
+        w=zeros,
+        u=zeros,
+        u_next=zeros,
+        qp_status=("optimal",) * n,
+        active_set=((),) * n,
+    )
+    states = StateStack(
+        v=np.ones((n, 1)),
+        theta=np.zeros((n, 1)),
+        s_flows=np.zeros((n, 0)),
+        p_pcc=pts[:, 0].copy(),
+        q_pcc=pts[:, 1].copy(),
+        converged=np.ones(n, dtype=bool),
+        steps=np.ones(n, dtype=int),
+        mismatch=np.zeros(n),
+        failures=(None,) * n,
+        iterations=1 if n else 0,
     )
     segments = (
         SegmentRecord(
-            setpoint=SetPoint(p_set=target[0], q_set=target[1]),
+            setpoint=SetPoint(p_set=float(target[0]), q_set=float(target[1])),
             start=0,
-            stop=len(points),
+            stop=n,
             converged=converged,
         ),
     )

@@ -129,7 +129,8 @@ def test_run_schedule_chains_controls_and_segments(ring4, ring4_map, config):
     # Within a segment, u chains through u_next; the update computed at a
     # converged step is held, so the next segment starts from that step's u.
     boundary = traj.segments[0].stop
-    for prev, nxt in zip(traj.steps, traj.steps[1:]):
+    steps = list(traj.steps)
+    for prev, nxt in zip(steps, steps[1:]):
         if nxt.k == boundary:
             assert np.array_equal(nxt.u, prev.u)
         else:

@@ -1,6 +1,7 @@
 """Monte Carlo uncertainty propagation: noise channels, ensembles, histograms."""
 
 import csv
+import pickle
 from dataclasses import FrozenInstanceError
 from functools import cached_property
 
@@ -11,6 +12,7 @@ from flexsafe import uncertainty_mc
 from flexsafe.for_region import FORPolygon
 from flexsafe.grid_model import GridModel, load_grid
 from flexsafe.ofo_controller import ControllerConfig, SetPoint, run_schedule
+from flexsafe.power_flow import limit_violation
 from flexsafe.sensitivity import compute_sensitivity
 from flexsafe.uncertainty_mc import (
     CHANNEL_LOAD,
@@ -23,6 +25,7 @@ from flexsafe.uncertainty_mc import (
     density_histogram,
     export_histogram_csv,
     run_monte_carlo,
+    run_trial,
     sample_load_noise,
 )
 
@@ -175,7 +178,55 @@ def test_parallel_matches_serial(mc_inputs):
     for a, b in zip(serial.trajectories, parallel.trajectories):
         assert a.converged == b.converged
         assert np.array_equal(a.pcc_path(), b.pcc_path())
-        assert np.array_equal(a.control_path(), b.control_path())
+        assert np.array_equal(a.steps.u, b.steps.u)
+        # Every other recorded field survives the pool's transport too.
+        for name in ("w", "u_next"):
+            assert np.array_equal(getattr(a.steps, name), getattr(b.steps, name)), name
+        assert np.array_equal(a.steps.y.values, b.steps.y.values)
+        assert a.steps.qp_status == b.steps.qp_status
+        assert a.steps.active_set == b.steps.active_set
+        assert np.array_equal(a.states.steps, b.states.steps)
+        assert np.array_equal(a.states.mismatch, b.states.mismatch)
+        assert a.segments == b.segments
+        assert (a.aborted, a.abort_reason) == (b.aborted, b.abort_reason)
+
+
+def test_trajectory_pickles_as_its_arrays(mc_inputs):
+    """Reading steps and states builds views on access and caches nothing in the payload."""
+    grid, schedule, controller, noise = mc_inputs
+    traj = run_trial(grid, compute_sensitivity(grid), schedule, controller, noise, None, 2)
+    before = pickle.dumps(traj, pickle.HIGHEST_PROTOCOL)
+    assert len(traj.steps) > 5
+    step, state = traj.steps[0], traj.states[-1]
+    assert step.k == 0 and state.p_pcc == traj.pcc_path()[-1, 0]
+    assert pickle.dumps(traj, pickle.HIGHEST_PROTOCOL) == before
+    back = pickle.loads(before)
+    assert np.array_equal(back.pcc_path(), traj.pcc_path())
+    for name in ("w", "u", "u_next"):
+        assert np.array_equal(getattr(back.steps, name), getattr(traj.steps, name)), name
+    assert np.array_equal(back.steps.y.values, traj.steps.y.values)
+    for name in ("v", "theta", "s_flows", "converged", "steps", "mismatch"):
+        assert np.array_equal(getattr(back.states, name), getattr(traj.states, name)), name
+    assert back.steps.qp_status == traj.steps.qp_status
+    assert back.steps.active_set == traj.steps.active_set
+
+
+def test_stacked_limit_violation_matches_each_state(ring4_tightv):
+    """One limit_violation call on a trajectory's states equals the per-state loop bit for bit."""
+    noise = NoiseConfig(
+        seed=1,
+        load_sigma={"household": 0.02, "industry": 0.02, "commercial": 0.02},
+        meas_bounds=(-0.01, 0.01),
+        sens_bounds=(-0.05, 0.05),
+    )
+    controller = ControllerConfig(alpha=0.1, max_iterations=60)
+    smap = compute_sensitivity(ring4_tightv)
+    traj = run_trial(ring4_tightv, smap, [SetPoint(-0.4, -0.8)], controller, noise, None, 0)
+    stacked = limit_violation(ring4_tightv, traj.states)
+    looped = [limit_violation(ring4_tightv, traj.states[i]) for i in range(len(traj.states))]
+    assert stacked.shape == (len(traj.steps),)
+    assert (stacked > 0).any() and (stacked == 0).any()  # both kinds of state are scored
+    assert stacked.tobytes() == np.array(looped).tobytes()
 
 
 @pytest.mark.parametrize("jobs, n_trials, pool", [(1000, 3, 3), (2, 3, 2), (1000, 1, None)])
