@@ -59,7 +59,6 @@ from flexsafe.for_region import (
     FORError,
     FORPolygon,
     FORSample,
-    SweepConfig,
     contains_many,
     export_for_csv,
     polygon_area,

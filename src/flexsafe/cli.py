@@ -17,7 +17,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from flexsafe.grid_model import GridError
@@ -37,6 +37,7 @@ from flexsafe.for_region import (
     read_for_csv,
     sample_oracle_for,
     sweep_for,
+    sweep_settings,
 )
 from flexsafe.trajectory_analysis import robustness_verdict, verdict_payload
 from flexsafe.uncertainty_mc import (
@@ -78,9 +79,9 @@ def _effective_seed(sc: ScenarioConfig, args) -> int:
 
 
 def _region_stamp(sc: ScenarioConfig) -> str:
-    """sha256 of everything the region depends on: grid document and sweep settings."""
+    """sha256 of everything the region depends on: grid document, n_angles and sweep constants."""
     digest = hashlib.sha256(sc.grid_path.read_bytes())
-    digest.update(json.dumps(asdict(sc.sweep), sort_keys=True).encode())
+    digest.update(json.dumps(sweep_settings(sc.n_angles), sort_keys=True).encode())
     return digest.hexdigest()
 
 
@@ -101,7 +102,7 @@ def _ensure_region(sc: ScenarioConfig, out: Path, refresh: bool = False) -> FORP
     # Drop the old stamp first, so a run cut short never leaves a stamp
     # vouching for a CSV it does not describe.
     stamp_file.unlink(missing_ok=True)
-    polygon = sweep_for(sc.grid, config=sc.sweep)
+    polygon = sweep_for(sc.grid, n_angles=sc.n_angles)
     export_for_csv(polygon, cache)
     stamp_file.write_text(stamp + "\n")
     return polygon

@@ -42,31 +42,34 @@ from flexsafe.sensitivity import SensitivityMap, compute_sensitivity
 #: share the per-call cost, few enough to keep the stack's arrays small.
 ORACLE_CHUNK = 256
 
+#: The ray push's stages, (kappa, mu) = (outward pull, ray pin), run in turn.
+SWEEP_STAGES = ((10.0, 50.0), (1.0, 5000.0))
+#: Steps a stage may take before it ends.
+STAGE_ITERATIONS = 400
+#: A stage's gain: this over the stage cost's curvature through the PCC rows.
+GAIN_SCALE = 0.1
+#: A stage ends after PATIENCE updates in a row smaller than STALL_TOL.
+STALL_TOL = 1e-7
+PATIENCE = 8
+#: A limit this close to its bound at a vertex is named as binding there.
+BINDING_BAND = 1e-3
+
+
+def sweep_settings(n_angles: int) -> dict:
+    """What a swept polygon depends on besides its grid: n_angles and the constants above."""
+    return {
+        "n_angles": n_angles,
+        "stages": SWEEP_STAGES,
+        "stage_iterations": STAGE_ITERATIONS,
+        "gain_scale": GAIN_SCALE,
+        "stall_tol": STALL_TOL,
+        "patience": PATIENCE,
+        "binding_band": BINDING_BAND,
+    }
+
 
 class FORError(Exception):
     """Region sweep could not produce a usable polygon."""
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Ray-sweep settings; stages are (kappa, mu) = (outward pull, ray pin)."""
-
-    n_angles: int = 72
-    stages: tuple[tuple[float, float], ...] = ((10.0, 50.0), (1.0, 5000.0))
-    stage_iterations: int = 400
-    gain_scale: float = 0.1
-    stall_tol: float = 1e-7
-    patience: int = 8
-
-    def __post_init__(self):
-        if self.n_angles < 3:
-            raise ValueError(f"need at least 3 sweep angles, got {self.n_angles}")
-        if not self.stages:
-            raise ValueError("at least one (kappa, mu) stage is required")
-        if self.stage_iterations < 1 or self.patience < 1:
-            raise ValueError("stage_iterations and patience must be positive")
-        if self.gain_scale <= 0 or self.stall_tol <= 0:
-            raise ValueError("gain_scale and stall_tol must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,24 +153,22 @@ def contains_many(polygon: FORPolygon, points: np.ndarray, tol: float = 0.0) -> 
     return (inside | near) & finite
 
 
-def _binding_labels(
-    grid: GridModel, u: np.ndarray, state: SystemState, band: float = 1e-3
-) -> tuple[str, ...]:
-    """Limits within ``band`` of their bound at the given operating point."""
+def _binding_labels(grid: GridModel, u: np.ndarray, state: SystemState) -> tuple[str, ...]:
+    """Limits within BINDING_BAND of their bound at the given operating point."""
     labels: list[str] = []
     lower, upper = grid.control_bounds()
     for name, ui, lo, hi in zip(control_labels(grid), u, lower, upper):
-        if ui - lo <= band:
+        if ui - lo <= BINDING_BAND:
             labels.append(f"{name}:min")
-        if hi - ui <= band:
+        if hi - ui <= BINDING_BAND:
             labels.append(f"{name}:max")
     for bus, v in zip(grid.buses, state.v):
-        if v - bus.v_min <= band:
+        if v - bus.v_min <= BINDING_BAND:
             labels.append(f"v:{bus.id}:min")
-        if bus.v_max - v <= band:
+        if bus.v_max - v <= BINDING_BAND:
             labels.append(f"v:{bus.id}:max")
     for branch, s in zip(grid.branches, state.s_flows):
-        if math.isfinite(branch.s_max) and branch.s_max - s <= band:
+        if math.isfinite(branch.s_max) and branch.s_max - s <= BINDING_BAND:
             labels.append(f"s:{branch.id}:max")
     return tuple(labels)
 
@@ -196,7 +197,7 @@ class _RayCosts:
 
 
 def _push_rays(
-    grid: GridModel, smap: SensitivityMap, thetas, config: SweepConfig
+    grid: GridModel, smap: SensitivityMap, thetas
 ) -> list[tuple[np.ndarray, SystemState] | Exception]:
     """Drive the PCC flow outward along each ray until pinned, all rays in lockstep.
 
@@ -208,15 +209,15 @@ def _push_rays(
     steps in the stage, and the last solved step QP's active set, which
     warm-starts the next.  Every live ray takes one step per call of the
     step kernel, as one stack.  A stage ends on a QP that is not optimal,
-    after ``patience`` updates in a row below ``stall_tol``, or after
-    ``stage_iterations`` steps; a ray leaves the stack when its last stage
+    after PATIENCE updates in a row below STALL_TOL, or after
+    STAGE_ITERATIONS steps; a ray leaves the stack when its last stage
     ends or its plant fails.  The pinned points are then solved from a
     flat start, as verify_vertices re-solves them.  Returns per ray its
     (control, pinned state), or the error that dropped it.  Each ray's
     result is bit for bit that of the ray pushed alone.
     """
     results: list = [None] * len(thetas)
-    kappa, mu = (np.array(x) for x in zip(*config.stages))
+    kappa, mu = (np.array(x) for x in zip(*SWEEP_STAGES))
     m_pcc = smap.matrix[-2:]
     rays, directions, alphas = [], [], []
     for i, theta in enumerate(thetas):
@@ -229,7 +230,7 @@ def _push_rays(
             continue
         rays.append(i)
         directions.append((c, n_vec))
-        alphas.append(config.gain_scale / (mu * sigma_n2 + kappa * sigma_c2))
+        alphas.append(GAIN_SCALE / (mu * sigma_n2 + kappa * sigma_c2))
     directions = np.array(directions).reshape(-1, 2, 2)
     c, normal = directions[:, 0], directions[:, 1]
     alpha = np.array(alphas)
@@ -265,13 +266,13 @@ def _push_rays(
         guesses = [new if ok else old for new, ok, old in zip(steps.active_set, optimal, guesses)]
         iterations += 1
         # A QP that is not optimal ends the stage, which resets the stall count.
-        stall = np.where(delta < config.stall_tol, stall + 1, 0)
-        ended = ~optimal | (stall >= config.patience) | (iterations >= config.stage_iterations)
+        stall = np.where(delta < STALL_TOL, stall + 1, 0)
+        ended = ~optimal | (stall >= PATIENCE) | (iterations >= STAGE_ITERATIONS)
         stage[ended] += 1
         iterations[ended] = stall[ended] = 0
         for j in np.flatnonzero(failed):
             results[rays[live[j]]] = steps.errors[j]
-        done = ~failed & (stage == len(config.stages))
+        done = ~failed & (stage == len(SWEEP_STAGES))
         pinned.extend(rays[r] for r in live[done])
         pinned_u.extend(u[done])
         going = np.flatnonzero(~failed & ~done)
@@ -293,17 +294,15 @@ def _push_rays(
 
 
 def sweep_for(
-    grid: GridModel,
-    smap: SensitivityMap | None = None,
-    config: SweepConfig | None = None,
+    grid: GridModel, smap: SensitivityMap | None = None, n_angles: int = 72
 ) -> FORPolygon:
-    """Chart the feasible PCC region by pushing along rays from the origin.
+    """Chart the feasible PCC region by pushing along n_angles rays from the origin.
 
     The rays are pushed in lockstep (see _push_rays); each vertex is what
     its ray gives when pushed alone.
     """
-    if config is None:
-        config = SweepConfig()
+    if n_angles < 3:
+        raise ValueError(f"need at least 3 sweep angles, got {n_angles}")
     if smap is None:
         smap = compute_sensitivity(grid)
 
@@ -313,8 +312,8 @@ def sweep_for(
     controls: list[np.ndarray] = []
     failures: list[tuple[float, str]] = []
 
-    thetas = [2.0 * math.pi * i / config.n_angles for i in range(config.n_angles)]
-    for theta, result in zip(thetas, _push_rays(grid, smap, thetas, config)):
+    thetas = [2.0 * math.pi * i / n_angles for i in range(n_angles)]
+    for theta, result in zip(thetas, _push_rays(grid, smap, thetas)):
         if isinstance(result, Exception):
             failures.append((theta, str(result)))
             continue
@@ -326,7 +325,7 @@ def sweep_for(
 
     if len(vertices) < 3:
         raise FORError(
-            f"only {len(vertices)} of {config.n_angles} sweep angles succeeded; "
+            f"only {len(vertices)} of {n_angles} sweep angles succeeded; "
             f"first failure: {failures[0][1] if failures else 'none recorded'}"
         )
     return FORPolygon(

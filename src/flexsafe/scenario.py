@@ -23,7 +23,6 @@ import numpy as np
 
 from flexsafe.grid_model import GridError, GridModel, clip_control, load_document, load_grid
 from flexsafe.ofo_controller import ControllerConfig, SetPoint
-from flexsafe.for_region import SweepConfig
 from flexsafe.uncertainty_mc import NoiseConfig, check_load_channel
 
 #: Schedule directive: expand to one single-target run per region vertex.
@@ -45,7 +44,7 @@ class ScenarioConfig:
     schedule: tuple[SetPoint, ...] | str
     u0: np.ndarray | None
     noise: NoiseConfig | None
-    sweep: SweepConfig
+    n_angles: int
     oracle_samples: int
     mc_trials: int
     histogram_bins: int
@@ -121,11 +120,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         )
         _in_block("noise", check_load_channel, grid=grid, config=noise)
 
-    for_block = _typed(
-        doc.get("for", {}), "n_angles", "oracle_samples", "stage_iterations", "patience"
-    )
-    oracle_samples = for_block.pop("oracle_samples", 5000)
-    sweep = _in_block("for", SweepConfig, **for_block)
+    for_block = doc.get("for", {})
     mc = doc.get("mc", {})
 
     out_dir = Path(doc["out_dir"]) if doc.get("out_dir") else None
@@ -140,8 +135,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         schedule=schedule,
         u0=u0,
         noise=noise,
-        sweep=sweep,
-        oracle_samples=oracle_samples,
+        n_angles=int(for_block.get("n_angles", 72)),
+        oracle_samples=int(for_block.get("oracle_samples", 5000)),
         mc_trials=int(mc.get("n_trials", 100)),
         histogram_bins=int(mc.get("histogram_bins", 40)),
         histogram_iterations=tuple(int(k) for k in mc.get("histogram_iterations", ())),

@@ -24,7 +24,6 @@ from flexsafe.grid_model import GridModel, clip_control, control_labels
 from flexsafe.power_flow import (
     PowerFlowError,
     SingularJacobianError,
-    SystemState,
     branch_flows,
     measurement_labels,
     mismatch_jacobian,
@@ -41,12 +40,11 @@ FLOW_EPS = 1e-12
 class SensitivityMap:
     """Dense map dy/du with the measurement-row / control-column layout.
 
-    ``u0`` and ``state`` record the linearization point.
+    ``u0`` records the linearization point.
     """
 
     matrix: np.ndarray
     u0: np.ndarray
-    state: SystemState
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
 
@@ -165,7 +163,6 @@ def compute_sensitivity(grid: GridModel, u0: np.ndarray | None = None) -> Sensit
     return SensitivityMap(
         matrix=matrix,
         u0=u0,
-        state=state,
         row_labels=measurement_labels(grid),
         col_labels=control_labels(grid),
     )
@@ -187,9 +184,6 @@ def finite_difference_oracle(
     if np.any(u0 - step < lower) or np.any(u0 + step > upper):
         raise ValueError("finite-difference stencil crosses a control bound; move u0 inward")
 
-    state = solve_power_flow(grid, tol=1e-12, max_iter=60, control=u0)
-    if not state.converged:
-        raise PowerFlowError("power flow did not converge at the expansion point")
     columns = []
     for col in range(u0.size):
         up = u0.copy()
@@ -202,7 +196,6 @@ def finite_difference_oracle(
     return SensitivityMap(
         matrix=np.column_stack(columns),
         u0=u0.copy(),
-        state=state,
         row_labels=measurement_labels(grid),
         col_labels=control_labels(grid),
     )

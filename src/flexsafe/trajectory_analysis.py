@@ -12,7 +12,7 @@ on evidence it does not have.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -89,12 +89,8 @@ def _as_trajectories(tset) -> tuple[Trajectory, ...]:
     return tuple(tset)
 
 
-def classify(
-    tset: TrajectorySet | Sequence[Trajectory],
-    polygon: FORPolygon,
-    tol: float = TOL_SAFETY,
-) -> SafetyVerdict:
-    """Assign Safe / ConditionallySafe / Unsafe to a trajectory set.
+def classify(tset: TrajectorySet | Sequence[Trajectory], polygon: FORPolygon) -> SafetyVerdict:
+    """Assign Safe / ConditionallySafe / Unsafe to a trajectory set, at tolerance TOL_SAFETY.
 
     Severity order when picking the witness: an aborted run or a final
     point outside the region decides Unsafe; otherwise the first transient
@@ -113,7 +109,7 @@ def classify(
     for ti, traj in enumerate(trajs):
         pts = traj.pcc_path()
         inside = (
-            contains_many(polygon, pts, tol)
+            contains_many(polygon, pts, TOL_SAFETY)
             if pts.shape[0]
             else np.empty(0, dtype=bool)
         )
@@ -152,7 +148,7 @@ def classify(
         cls, witness = SafetyClass.SAFE, None
     return SafetyVerdict(
         safety_class=cls,
-        tol=tol,
+        tol=TOL_SAFETY,
         n_trajectories=len(trajs),
         n_transient_exits=n_transient,
         n_final_exits=n_final,
@@ -161,12 +157,13 @@ def classify(
     )
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval for a binomial rate (default 95% two-sided)."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial rate, 95% two-sided."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
+    z = 1.959963984540054  # standard normal quantile of a 95% two-sided interval
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -215,13 +212,11 @@ def coverage_metric(
 
 
 def robustness_verdict(
-    tset: TrajectorySet | Sequence[Trajectory],
-    polygon: FORPolygon,
-    tol: float = TOL_SAFETY,
+    tset: TrajectorySet | Sequence[Trajectory], polygon: FORPolygon
 ) -> RobustnessReport:
     """Classify an ensemble and summarize its convergence statistics."""
     trajs = _as_trajectories(tset)
-    verdict = classify(trajs, polygon, tol)
+    verdict = classify(trajs, polygon)
     n_converged = sum(1 for t in trajs if t.converged)
     try:
         coverage = coverage_metric(trajs, polygon)
@@ -237,39 +232,15 @@ def robustness_verdict(
     )
 
 
-def _witness_dict(w: Witness | None):
-    if w is None:
+def _json_value(value):
+    """A SafetyClass as its value, a non-finite float (the coverage of < 3 runs) as None."""
+    if isinstance(value, SafetyClass):
+        return value.value
+    if isinstance(value, float) and not math.isfinite(value):
         return None
-    return {
-        "trajectory": w.trajectory,
-        "step": w.step,
-        "point": None if w.point is None else [w.point[0], w.point[1]],
-        "reason": w.reason,
-    }
-
-
-def _verdict_dict(v: SafetyVerdict) -> dict:
-    return {
-        "safety_class": v.safety_class.value,
-        "tol": v.tol,
-        "n_trajectories": v.n_trajectories,
-        "n_transient_exits": v.n_transient_exits,
-        "n_final_exits": v.n_final_exits,
-        "n_aborted": v.n_aborted,
-        "witness": _witness_dict(v.witness),
-    }
+    return value
 
 
 def verdict_payload(obj: SafetyVerdict | RobustnessReport) -> dict:
     """JSON-ready dict for a verdict or a full robustness report."""
-    if isinstance(obj, RobustnessReport):
-        return {
-            "verdict": _verdict_dict(obj.verdict),
-            "n_trials": obj.n_trials,
-            "n_converged": obj.n_converged,
-            "convergence_rate": obj.convergence_rate,
-            "rate_ci": [obj.rate_ci[0], obj.rate_ci[1]],
-            "coverage": obj.coverage if math.isfinite(obj.coverage) else None,
-        }
-    return _verdict_dict(obj)
-
+    return asdict(obj, dict_factory=lambda items: {k: _json_value(v) for k, v in items})

@@ -313,9 +313,7 @@ def density_histogram(
 
 
 def critical_fraction(
-    tset: TrajectorySet | Sequence[Trajectory],
-    polygon: FORPolygon,
-    tol: float = TOL_SAFETY,
+    tset: TrajectorySet | Sequence[Trajectory], polygon: FORPolygon
 ) -> tuple[float, tuple[float, float]]:
     """Fraction of trials that ever left the region (aborts count), with CI."""
     trajs = _as_trajectories(tset)
@@ -325,7 +323,7 @@ def critical_fraction(
     for traj in trajs:
         pts = traj.pcc_path()
         outside = pts.shape[0] > 0 and not bool(
-            np.all(contains_many(polygon, pts, tol))
+            np.all(contains_many(polygon, pts, TOL_SAFETY))
         )
         if traj.aborted or outside:
             n_critical += 1

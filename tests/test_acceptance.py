@@ -17,7 +17,6 @@ import pytest
 from flexsafe.cli import main as cli_main
 from flexsafe.for_region import (
     FORPolygon,
-    SweepConfig,
     contains_many,
     sample_oracle_for,
     sweep_for,
@@ -82,7 +81,7 @@ def ring4_sweep():
     grid = load_grid(grid_path("ring4"))
     smap = compute_sensitivity(grid)
     start = time.perf_counter()
-    polygon = sweep_for(grid, smap, SweepConfig(n_angles=144))
+    polygon = sweep_for(grid, smap, n_angles=144)
     elapsed = time.perf_counter() - start
     return grid, smap, polygon, elapsed
 
@@ -172,7 +171,7 @@ def test_a3_vertex_tracking_converges_and_is_safe(ring4_sweep):
     assert rate >= 0.90, f"only {n_converged}/{len(trajectories)} vertices reached"
 
     tset = TrajectorySet(trajectories=trajectories, failures=())
-    verdict = classify(tset, polygon, tol=1e-3)
+    verdict = classify(tset, polygon)
     assert verdict.safety_class is SafetyClass.SAFE, verdict.safety_class
 
     ladder = (0, 1, 2, 3, 5, 8, 12, 20, 35, 60, 100, 200, None)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import flexsafe
 from flexsafe import ofo_controller, power_flow
-from flexsafe.for_region import SweepConfig, sweep_for
+from flexsafe.for_region import sweep_for
 from flexsafe.grid_model import GridModel
 from flexsafe.ofo_controller import ControllerConfig, SetPoint, run_schedule
 from flexsafe.sensitivity import compute_sensitivity
@@ -85,7 +85,7 @@ def test_sweep_solves_the_plant_once_per_built_step(ring4, monkeypatch):
     smap = compute_sensitivity(ring4)
     solves = _record_calls(monkeypatch, power_flow, "solve_power_flow")
     built = _record_calls(monkeypatch, ofo_controller, "build_step_qp")
-    polygon = sweep_for(ring4, smap, SweepConfig(n_angles=6))
+    polygon = sweep_for(ring4, smap, n_angles=6)
     assert polygon.n_vertices == 6
     assert built and len(solves) >= len(built)
     assert all(type(out.iterations) is int for out in solves)

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import flexsafe
-from flexsafe.cli import main
+from flexsafe import for_region
+from flexsafe.cli import _region_stamp, main
 from flexsafe.ofo_controller import export_trajectory_csv
 from flexsafe.scenario import load_scenario
 from flexsafe.sensitivity import compute_sensitivity
@@ -241,6 +242,25 @@ def test_region_cache_recomputed_when_inputs_change(workdir):
     finer = write_scenario(workdir, finer_doc, name="finer.json")
     assert main(["run", str(finer), "--out", str(out)]) == 0
     assert len((out / "for_region.csv").read_text().splitlines()) == 1 + 9
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("SWEEP_STAGES", ((10.0, 50.0),)),
+        ("STAGE_ITERATIONS", 401),
+        ("GAIN_SCALE", 0.2),
+        ("STALL_TOL", 1e-8),
+        ("PATIENCE", 9),
+        ("BINDING_BAND", 2e-3),
+    ],
+)
+def test_region_stamp_covers_the_sweep_constants(workdir, monkeypatch, name, value):
+    """A region charted under other sweep constants is never reused."""
+    sc = load_scenario(write_scenario(workdir, base_doc()))
+    before = _region_stamp(sc)
+    monkeypatch.setattr(for_region, name, value)
+    assert _region_stamp(sc) != before
 
 
 def test_run_hull_vertices_fans_out(workdir):

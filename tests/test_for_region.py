@@ -10,7 +10,6 @@ from flexsafe.for_region import (
     ORACLE_CHUNK,
     FORError,
     FORPolygon,
-    SweepConfig,
     _binding_labels,
     _push_rays,
     contains_many,
@@ -38,7 +37,7 @@ def diamond():
 
 @pytest.fixture(scope="module")
 def boxcase_poly(boxcase):
-    return sweep_for(boxcase, config=SweepConfig(n_angles=8))
+    return sweep_for(boxcase, n_angles=8)
 
 
 def test_polygon_area_known_shapes():
@@ -91,11 +90,9 @@ def test_polygon_validation():
         )
 
 
-def test_sweep_config_validation():
-    with pytest.raises(ValueError):
-        SweepConfig(n_angles=2)
-    with pytest.raises(ValueError):
-        SweepConfig(gain_scale=0.0)
+def test_sweep_config_validation(boxcase):
+    with pytest.raises(ValueError, match="at least 3 sweep angles"):
+        sweep_for(boxcase, n_angles=2)
 
 
 def test_box_limits_recovered(boxcase_poly):
@@ -136,7 +133,7 @@ def test_sweep_vertices_replay_on_true_plant(boxcase, boxcase_poly):
 
 def test_ring4_sweep_mixed_binding(ring4):
     smap = compute_sensitivity(ring4)
-    poly = sweep_for(ring4, smap=smap, config=SweepConfig(n_angles=12))
+    poly = sweep_for(ring4, smap=smap, n_angles=12)
     assert poly.n_vertices == 12
     assert polygon_area(poly.vertices) > 0.1
     kinds = {tag.split(":")[0] for tags in poly.binding for tag in tags}
@@ -172,7 +169,7 @@ def test_oracle_points_inside_swept_region(boxcase, boxcase_poly):
 
 def test_csv_round_trip(ring4, tmp_path):
     smap = compute_sensitivity(ring4)
-    poly = sweep_for(ring4, smap=smap, config=SweepConfig(n_angles=8))
+    poly = sweep_for(ring4, smap=smap, n_angles=8)
     path = tmp_path / "region.csv"
     export_for_csv(poly, path)
     back = read_for_csv(path)
@@ -243,15 +240,14 @@ def test_lockstep_sweep_equals_each_ray_alone(name, monkeypatch):
     """
     grid = load_grid(grid_path(name))
     smap = compute_sensitivity(grid)
-    config = SweepConfig(n_angles=6)
     recorded = _record_ray_guesses(monkeypatch)
-    polygon = sweep_for(grid, smap=smap, config=config)
+    polygon = sweep_for(grid, smap=smap, n_angles=6)
     assert polygon.n_vertices == 6
     lockstep = dict(recorded)
     for i, theta in enumerate(polygon.angles):
         ray = (math.cos(theta), math.sin(theta))
         recorded.clear()
-        ((u, state),) = _push_rays(grid, smap, [theta], config)
+        ((u, state),) = _push_rays(grid, smap, [theta])
         assert recorded[ray] == lockstep[ray]
         assert sum(guess == tags for guess, tags in recorded[ray]) > len(recorded[ray]) / 2
         assert np.array_equal(polygon.controls[i], u)

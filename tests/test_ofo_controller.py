@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flexsafe import ofo_controller
-from flexsafe.for_region import SweepConfig, sweep_for
+from flexsafe.for_region import sweep_for
 from flexsafe.ofo_controller import (
     ControllerConfig,
     SetPoint,
@@ -357,7 +357,7 @@ def test_every_solved_step_qp_passes_the_kkt_check(loop, ring4, synth30, monkeyp
     """The independent KKT check accepts each optimal step QP, solved warm or cold."""
     solved = _record_step_qps(monkeypatch)
     if loop == "ring4 sweep":
-        assert sweep_for(ring4, config=SweepConfig(n_angles=6)).n_vertices == 6
+        assert sweep_for(ring4, n_angles=6).n_vertices == 6
     else:
         # The flows at two box corners: reaching them binds the control box.
         schedule = []

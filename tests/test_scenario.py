@@ -46,7 +46,7 @@ def test_minimal_scenario_and_defaults(scenario_dir):
     assert len(sc.schedule) == 1
     assert sc.schedule[0].p_set == 0.2
     assert sc.u0 is None and sc.noise is None and sc.out_dir is None
-    assert sc.sweep.n_angles == 72
+    assert sc.n_angles == 72
     assert sc.oracle_samples == 5000
     assert sc.mc_trials == 100
     assert sc.histogram_bins == 40
@@ -72,7 +72,7 @@ def test_full_scenario_round_trip(scenario_dir):
     assert sc.u0.tolist() == [0.1, 0.0, 0.0, 0.0]
     assert sc.noise.seed == 7
     assert sc.noise.meas_bounds == (-0.02, 0.02)
-    assert sc.sweep.n_angles == 16
+    assert sc.n_angles == 16
     assert sc.oracle_samples == 800
     assert sc.mc_trials == 12
     assert sc.histogram_iterations == (0, 5)
@@ -143,8 +143,17 @@ MALFORMED = [
         lambda d: d.update(noise={"seed": 1, "fuzz": 2}),
         _unexpected("noise", "fuzz"),
     ),
-    ("for block", lambda d: d.update({"for": {"n_angles": 2}}), "for block"),
+    (
+        "for block",
+        lambda d: d.update({"for": {"n_angles": 2}}),
+        _schema("for/n_angles", "2 is less than the minimum of 3"),
+    ),
     ("unknown for keys", lambda d: d.update({"for": {"rays": 9}}), _unexpected("for", "rays")),
+    (
+        "removed for keys",
+        lambda d: d.update({"for": {"gain_scale": 0.1}}),
+        _unexpected("for", "gain_scale"),
+    ),
     (
         "positive",
         lambda d: d.update(mc={"n_trials": 0}),
@@ -181,14 +190,14 @@ MALFORMED = [
         _schema("controller/alpha", "nan is not of type 'number'"),
     ),
     (
-        "'stall_tol' must be a number",
-        lambda d: d.update({"for": {"stall_tol": float("inf")}}),
-        _schema("for/stall_tol", "inf is not of type 'number'"),
+        "'convergence_tol' must be a number",
+        lambda d: d.update(controller={"alpha": 0.1, "convergence_tol": float("inf")}),
+        _schema("controller/convergence_tol", "inf is not of type 'number'"),
     ),
     (
-        "'patience' must be an integer",
-        lambda d: d.update({"for": {"patience": 1e400}}),
-        _schema("for/patience", "inf is not of type 'integer'"),
+        "'n_angles' must be an integer",
+        lambda d: d.update({"for": {"n_angles": 1e400}}),
+        _schema("for/n_angles", "inf is not of type 'integer'"),
     ),
     (
         "'histogram_iterations' must be an integer, got 2.5",
@@ -227,13 +236,13 @@ def test_integral_floats_read_as_integers(scenario_dir):
     doc = {
         **MINIMAL,
         "mc": {"n_trials": 3.0, "histogram_iterations": [2.0]},
-        "for": {"gain_scale": 1, "n_angles": 8.0},
+        "for": {"n_angles": 8.0},
     }
     sc = load_scenario(write_scenario(scenario_dir, doc))
     assert sc.mc_trials == 3 and type(sc.mc_trials) is int
     assert sc.histogram_iterations == (2,)
-    # The region stamp hashes asdict(sc.sweep): its value types are part of it.
-    assert type(sc.sweep.gain_scale) is float and type(sc.sweep.n_angles) is int
+    # The region stamp hashes n_angles: its value type is part of it.
+    assert sc.n_angles == 8 and type(sc.n_angles) is int
 
 
 def test_missing_and_invalid_files(tmp_path):
@@ -278,7 +287,7 @@ FULL = {
         "meas_bounds": [-0.02, 0.02],
         "sens_bounds": [-0.05, 0.05],
     },
-    "for": {"n_angles": 16, "oracle_samples": 800, "gain_scale": 0.1, "patience": 8},
+    "for": {"n_angles": 16, "oracle_samples": 800},
     "mc": {"n_trials": 12, "histogram_bins": 10, "histogram_iterations": [0, 5]},
     "out_dir": "results",
 }

@@ -80,10 +80,10 @@ def test_aborted_trajectory_is_unsafe(diamond):
 def test_boundary_band_counts_as_inside(diamond):
     on_edge = [(0.0, 0.0), (0.5, 0.5)]  # final point exactly on the boundary
     nudged = [(0.0, 0.0), (0.5 + 4e-4, 0.5 + 4e-4)]  # outside but within tol
-    verdict = classify([make_trajectory(on_edge), make_trajectory(nudged)], diamond, tol=1e-3)
+    verdict = classify([make_trajectory(on_edge), make_trajectory(nudged)], diamond)
     assert verdict.safety_class is SafetyClass.SAFE
     far = [(0.0, 0.0), (0.51, 0.51)]
-    verdict = classify([make_trajectory(far)], diamond, tol=1e-3)
+    verdict = classify([make_trajectory(far)], diamond)
     assert verdict.safety_class is SafetyClass.UNSAFE
 
 
