@@ -44,7 +44,6 @@ from flexsafe.ofo_controller import (
     NoiseModel,
     OFOStep,
     StepRecord,
-    StepStack,
     SetPoint,
     Trajectory,
     build_step_qp,

@@ -89,16 +89,14 @@ def _ensure_region(sc: ScenarioConfig, out: Path, refresh: bool = False) -> FORP
     """The scenario's region: the cached CSV if its stamp matches and it reads, else a new sweep."""
     cache, stamp_file = out / REGION_CSV, out / REGION_STAMP
     stamp = _region_stamp(sc)
-    if (
-        not refresh
-        and cache.exists()
-        and stamp_file.exists()
-        and stamp_file.read_text(errors="replace").strip() == stamp
-    ):
-        try:
-            return read_for_csv(cache)
-        except FORError as exc:
-            print(f"cached region unreadable, charting it again: {exc}", file=sys.stderr)
+    if not refresh and cache.exists():
+        if stamp_file.exists() and stamp_file.read_text(errors="replace").strip() == stamp:
+            try:
+                return read_for_csv(cache)
+            except FORError as exc:
+                print(f"cached region unreadable, charting it again: {exc}", file=sys.stderr)
+        else:
+            print(f"cached region {cache} is stale or unstamped, charting it again", file=sys.stderr)
     # Drop the old stamp first, so a run cut short never leaves a stamp
     # vouching for a CSV it does not describe.
     stamp_file.unlink(missing_ok=True)

@@ -34,7 +34,7 @@ from flexsafe.power_flow import (
     limit_violation,
     solve_power_flow,
 )
-from flexsafe.ofo_controller import closed_loop_step, step_qp_template
+from flexsafe.ofo_controller import closed_loop_step, plant_failure, step_qp_template
 from flexsafe.sensitivity import SensitivityMap, compute_sensitivity
 
 
@@ -258,8 +258,7 @@ def _push_rays(
             initial=states,
             warm=guesses,
         )
-        k += 1
-        failed = np.array([error is not None for error in steps.errors])
+        failed = ~states.converged
         optimal = np.array([status == "optimal" for status in steps.qp_status])
         delta = np.max(np.abs(steps.u_next - u), axis=1)
         u = steps.u_next
@@ -271,7 +270,8 @@ def _push_rays(
         stage[ended] += 1
         iterations[ended] = stall[ended] = 0
         for j in np.flatnonzero(failed):
-            results[rays[live[j]]] = steps.errors[j]
+            results[rays[live[j]]] = plant_failure(states.failures[j], states.mismatch[j], k)
+        k += 1
         done = ~failed & (stage == len(SWEEP_STAGES))
         pinned.extend(rays[r] for r in live[done])
         pinned_u.extend(u[done])

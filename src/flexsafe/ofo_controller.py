@@ -100,7 +100,6 @@ class OFOStep:
     unless the QP was solved; the next step's QP is warm-started from it.
     """
 
-    k: int
     y: MeasurementVector
     w: np.ndarray
     u: np.ndarray
@@ -110,48 +109,15 @@ class OFOStep:
 
 
 @dataclass(frozen=True, eq=False)
-class StepStack:
-    """K members' steps taken as one stack; row i belongs to member i.
-
-    The fields are OFOStep's with a leading member axis: ``y`` holds the
-    (K, n_y) measurements, ``w``, ``u`` and ``u_next`` are (K, n_u)
-    arrays, and ``qp_status`` and ``active_set`` hold one entry per
-    member.  ``errors[i]`` is the PowerFlowError that stopped member i, or
-    None; such a member has a NaN measurement, w = 0, u_next = u and the
-    status "plant_failed".
-    """
-
-    k: int
-    y: MeasurementVector
-    w: np.ndarray
-    u: np.ndarray
-    u_next: np.ndarray
-    qp_status: tuple[str, ...]
-    active_set: tuple[tuple[tuple[int, str], ...], ...]
-    errors: tuple[PowerFlowError | None, ...]
-
-    def __len__(self) -> int:
-        return self.u.shape[0]
-
-    def __getitem__(self, i: int) -> OFOStep:
-        """Member i's step as an OFOStep, with arrays of its own.
-
-        Raises the error that stopped member i, as its own step does.
-        """
-        if self.errors[i] is not None:
-            raise self.errors[i]
-        return _row_step(self, i, self.k)
-
-
-@dataclass(frozen=True, eq=False)
 class StepRecord:
-    """A run's steps as arrays; row k is step k.
+    """Steps as arrays: a run's, row k step k, or a kernel stack's, row i member i.
 
-    The fields are OFOStep's with a leading step axis: ``y`` holds the
-    (n_steps, n_y) measurements, ``w``, ``u`` and ``u_next`` are
-    (n_steps, n_u) arrays, and ``qp_status`` and ``active_set`` hold one
-    entry per step.  ``record[k]`` builds step k's OFOStep on each access
-    and keeps nothing, so the record stays these fields alone.
+    The fields are OFOStep's with a leading row axis: ``y`` holds the
+    (n_rows, n_y) measurements, ``w``, ``u`` and ``u_next`` are
+    (n_rows, n_u) arrays, and ``qp_status`` and ``active_set`` hold one
+    entry per row.  A stack member whose plant failed has a NaN
+    measurement, w = 0, u_next = u and the status "plant_failed"; the
+    StateStack beside it says why (plant_failure).
     """
 
     y: MeasurementVector
@@ -164,24 +130,16 @@ class StepRecord:
     def __len__(self) -> int:
         return self.u.shape[0]
 
-    def __getitem__(self, k: int) -> OFOStep:
-        """Step k as an OFOStep, with arrays of its own."""
-        k = range(len(self))[k]  # negative k counts from the end; IndexError ends iteration
-        return _row_step(self, k, k)
 
+def plant_failure(why: str | None, mismatch: float, k: int) -> PowerFlowError:
+    """The error of step k's plant solve that did not converge.
 
-def _row_step(rows: StepStack | StepRecord, i: int, k: int) -> OFOStep:
-    """Row i of a step stack or record as iteration k's OFOStep."""
-    y = rows.y
-    return OFOStep(
-        k=k,
-        y=MeasurementVector(y.values[i].copy(), y.n_bus, y.n_branch),
-        w=rows.w[i].copy(),
-        u=rows.u[i].copy(),
-        u_next=rows.u_next[i].copy(),
-        qp_status=rows.qp_status[i],
-        active_set=rows.active_set[i],
-    )
+    ``why`` is the Newton breakdown the solve reported (StateStack.failures),
+    if any; otherwise the iteration ran out at ``mismatch``.
+    """
+    if why:
+        return SingularJacobianError(why)
+    return PowerFlowError(f"plant power flow diverged at iteration {k} (mismatch {mismatch:.3e})")
 
 
 @dataclass(frozen=True)
@@ -198,10 +156,9 @@ class SegmentRecord:
 class Trajectory:
     """Closed-loop record as arrays: each step and the true plant state it measured.
 
-    ``steps`` is a StepRecord and ``states`` a StateStack whose member axis
-    is the step.  ``steps[k]`` and ``states[k]`` build step k's OFOStep and
-    SystemState on access, and nothing per step is kept, so a pickled
-    trajectory (what a Monte Carlo worker returns) holds only arrays.
+    ``steps`` is a StepRecord and ``states`` a StateStack, each with step k
+    in row k.  Nothing per step is kept, so a pickled trajectory (what a
+    Monte Carlo worker returns) holds only arrays.
     """
 
     steps: StepRecord
@@ -371,7 +328,7 @@ def closed_loop_step(
     noise: NoiseModel | None = None,
     initial: SystemState | StateStack | None = None,
     warm: tuple | Sequence[tuple | None] | None = None,
-) -> tuple[OFOStep, SystemState] | tuple[StepStack, StateStack]:
+) -> tuple[OFOStep, SystemState] | tuple[StepRecord, StateStack]:
     """Run one closed-loop iteration against the true plant.
 
     The step kernel of every loop (dispatch, region sweep, gain
@@ -380,9 +337,10 @@ def closed_loop_step(
     QP for the cost gradient ``gradient(y)``; clip the update to the unit
     box.  ``template`` is the loop's step_qp_template for (grid, smap,
     alpha), and ``warm`` the active set of the loop's last solved step QP,
-    the guess solve_qp starts from.  Returns the step record and the true
-    plant state that produced the measurement.  An infeasible QP holds the
-    control (w = 0) rather than taking an unreliable direction.
+    the guess solve_qp starts from.  Returns the OFOStep and the true plant
+    state that produced the measurement; a plant that does not converge
+    raises its plant_failure.  An infeasible QP holds the control (w = 0)
+    rather than taking an unreliable direction.
 
     A (K, n_u) stack of controls steps K independent members in lockstep:
     ``alpha``, ``template`` and ``warm`` (if given) then hold one entry per
@@ -394,10 +352,11 @@ def closed_loop_step(
     solved as one stack, and the measurements, step QPs (build_step_qp),
     warm tests (solve_qp_stack) and clip are formed for the whole stack; a
     member whose guess misses is solved cold on its own.  Returns the
-    StepStack, which holds per member its step or the PowerFlowError that
-    stopped it, and the StateStack.  A member's results are bit for bit
-    those of its own one-member step; one control vector is the one-member
-    case.
+    StepRecord and the StateStack, row i member i's.  A member whose plant
+    failed takes no step and raises nothing: the StateStack holds why
+    (plant_failure), and the others go on.  A member's results are bit for
+    bit those of its own one-member step; one control vector is the
+    one-member case.
 
     One control vector keeps its own branch: as a stack of one, ``flexsafe run``
     on a 30-bus, 1,617-step schedule took 17% longer on a 2-core machine
@@ -411,9 +370,7 @@ def closed_loop_step(
     states = solve_power_flow(grid, initial=initial, control=u, load_delta=load_delta)
     if single:
         if not states.converged:
-            raise PowerFlowError(
-                f"plant power flow diverged at iteration {k} (mismatch {states.mismatch:.3e})"
-            )
+            raise plant_failure(None, states.mismatch, k)
         y = measure(states, noise.measurement_noise(k) if noise is not None else None)
         problem = build_step_qp(u, y, smap, grid, gradient(y), template)
         solution = solve_qp(problem, warm=warm)
@@ -422,7 +379,6 @@ def closed_loop_step(
         else:
             w, u_next = np.zeros(u.size), u.copy()
         step = OFOStep(
-            k=k,
             y=y,
             w=w,
             u=u.copy(),
@@ -432,12 +388,6 @@ def closed_loop_step(
         )
         return step, states
 
-    errors: list[PowerFlowError | None] = [None] * len(u)
-    for i in np.flatnonzero(~states.converged):
-        why = states.failures[i]
-        errors[i] = SingularJacobianError(why) if why else PowerFlowError(
-            f"plant power flow diverged at iteration {k} (mismatch {states.mismatch[i]:.3e})"
-        )
     live = np.flatnonzero(states.converged)
     y_live = measure(states if live.size == len(u) else states.take(live))
     y = y_live
@@ -458,17 +408,15 @@ def closed_loop_step(
     optimal = np.array([s == "optimal" for s in status], dtype=bool)
     stepped = (u + np.asarray(alpha, dtype=float)[:, None] * w).clip(*grid.control_bounds())
     u_next = np.where(optimal[:, None], stepped, u)
-    stack = StepStack(
-        k=k,
+    steps = StepRecord(
         y=y,
         w=w,
         u=u.copy(),
         u_next=u_next,
         qp_status=tuple(status),
         active_set=tuple(active),
-        errors=tuple(errors),
     )
-    return stack, states
+    return steps, states
 
 
 def run_schedule(

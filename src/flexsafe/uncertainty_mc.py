@@ -13,13 +13,12 @@ Every draw comes from a stream keyed by (trial, channel[, iteration]) off
 one master seed, so a trial's randomness is independent of execution order
 and a parallel run reproduces the serial run byte for byte.
 
-Each trial's Trajectory is its record as arrays: ``states`` is one
-StateStack whose member axis is the step, and ``steps`` a StepRecord of
-(n_steps, n_u) controls and directions, (n_steps, n_y) measurements and
-one QP status and active set per step.  ``traj.steps[k]`` and
-``traj.states[k]`` build step k's OFOStep and SystemState on access and
-are never cached, so a pool worker returns only these arrays, and the
-summaries below read them with no per-step loop.
+Each trial's Trajectory is its record as arrays, step k in row k:
+``states`` is one StateStack, and ``steps`` a StepRecord of (n_steps, n_u)
+controls and directions, (n_steps, n_y) measurements and one QP status
+and active set per step.  No per-step object is kept, so a pool worker
+returns only these arrays, and the summaries below read them with no
+per-step loop.
 """
 
 from __future__ import annotations

@@ -181,10 +181,10 @@ def test_a3_vertex_tracking_converges_and_is_safe(ring4_sweep):
 
     elapsed = sweep_seconds + time.perf_counter() - start
     assert elapsed < 120.0, f"runtime {elapsed:.1f}s exceeds 120s budget"
-    max_k = max(t.steps[-1].k for t in trajectories if t.converged)
+    max_steps = max(len(t.steps) for t in trajectories if t.converged)
     return (
         f"{n_converged}/{len(trajectories)} vertices reached (alpha "
-        f"{config.alpha:.3f}, <= {max_k} iterations), set classified Safe, "
+        f"{config.alpha:.3f}, <= {max_steps} iterations), set classified Safe, "
         f"coverage rises 0 -> {coverage[-1]:.3f} monotonically ({elapsed:.1f}s)"
     )
 

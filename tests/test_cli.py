@@ -184,13 +184,14 @@ def test_run_command_single_target(workdir):
     assert report["config_hash"]
 
 
-def test_run_reuses_cached_region(workdir):
+def test_run_reuses_cached_region(workdir, capsys):
     path = write_scenario(workdir, base_doc())
     out = workdir / "art"
     assert main(["for", str(path), "--out", str(out)]) == 0
     region_before = (out / "for_region.csv").read_bytes()
     assert main(["run", str(path), "--out", str(out)]) == 0
     assert (out / "for_region.csv").read_bytes() == region_before
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -221,7 +222,7 @@ def test_unreadable_cached_region_is_charted_again(workdir, capsys, corrupt):
     assert (out / "for_region.sha256").read_bytes() == stamp
 
 
-def test_region_cache_recomputed_when_inputs_change(workdir):
+def test_region_cache_recomputed_when_inputs_change(workdir, capsys):
     shutil.copy(grid_path("ring4_tightv"), workdir / "ring4_tightv.json")
     short = {"alpha": 0.1, "max_iterations": 20}
     plain = write_scenario(workdir, base_doc(controller=short), name="plain.json")
@@ -231,7 +232,10 @@ def test_region_cache_recomputed_when_inputs_change(workdir):
     out = workdir / "art"
     assert main(["for", str(plain), "--out", str(out)]) == 0
     plain_region = (out / "for_region.csv").read_bytes()
+    capsys.readouterr()
     assert main(["run", str(tight), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "cached region" in err and str(out / "for_region.csv") in err
     tight_region = (out / "for_region.csv").read_bytes()
     assert tight_region != plain_region
     fresh = workdir / "fresh"
@@ -242,6 +246,11 @@ def test_region_cache_recomputed_when_inputs_change(workdir):
     finer = write_scenario(workdir, finer_doc, name="finer.json")
     assert main(["run", str(finer), "--out", str(out)]) == 0
     assert len((out / "for_region.csv").read_text().splitlines()) == 1 + 9
+    # A deleted stamp is reported as a mismatched one is.
+    (out / "for_region.sha256").unlink()
+    capsys.readouterr()
+    assert main(["run", str(finer), "--out", str(out)]) == 0
+    assert str(out / "for_region.csv") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -220,10 +220,10 @@ def _record_ray_guesses(monkeypatch) -> dict:
 
     def recording(grid, u, smap, alpha, gradient, template, **kwargs):
         stack, states = kernel(grid, u, smap, alpha, gradient, template, **kwargs)
-        for c, guess, tags, error in zip(
-            gradient.c, kwargs["warm"], stack.active_set, stack.errors
+        for c, guess, tags, solved in zip(
+            gradient.c, kwargs["warm"], stack.active_set, states.converged
         ):
-            if error is None:
+            if solved:
                 recorded.setdefault(tuple(c.tolist()), []).append((guess, tags))
         return stack, states
 

@@ -15,6 +15,7 @@ from flexsafe.ofo_controller import (
     closed_loop_step,
     export_trajectory_csv,
     grad_cost,
+    plant_failure,
     run_schedule,
     step_qp_template,
 )
@@ -129,13 +130,12 @@ def test_run_schedule_chains_controls_and_segments(ring4, ring4_map, config):
     # Within a segment, u chains through u_next; the update computed at a
     # converged step is held, so the next segment starts from that step's u.
     boundary = traj.segments[0].stop
-    steps = list(traj.steps)
-    for prev, nxt in zip(steps, steps[1:]):
-        if nxt.k == boundary:
-            assert np.array_equal(nxt.u, prev.u)
+    u, u_next = traj.steps.u, traj.steps.u_next
+    for k in range(1, len(traj.steps)):
+        if k == boundary:
+            assert np.array_equal(u[k], u[k - 1])
         else:
-            assert np.array_equal(nxt.u, prev.u_next)
-        assert nxt.k == prev.k + 1
+            assert np.array_equal(u[k], u_next[k - 1])
     # Segment windows tile the step sequence.
     assert traj.segments[0].start == 0
     assert traj.segments[0].stop == traj.segments[1].start
@@ -279,10 +279,11 @@ def _tracking_gradients(targets):
 def test_stacked_step_members_equal_their_own_steps(ring4, ring4_map, monkeypatch):
     """One kernel step over members with their own gains, templates, costs and guesses.
 
-    The costs come as one stacked gradient.  Each member of the StepStack
-    and each plant state are bit for bit its one-member step with the same
-    warm-start guess; a member whose plant fails raises the error its own
-    step raises, and the others go on.
+    The costs come as one stacked gradient.  Each row of the StepRecord
+    and each plant state are bit for bit its member's one-member step with
+    the same warm-start guess; a member whose plant fails is marked failed,
+    its StateStack row gives the error its own step raises, and the others
+    go on.
     """
     lower, upper = ring4.control_bounds()
     u = np.random.default_rng(8).uniform(lower, upper, size=(5, lower.size))
@@ -312,25 +313,44 @@ def test_stacked_step_members_equal_their_own_steps(ring4, ring4_map, monkeypatc
         if i == 3:
             with pytest.raises(PowerFlowError) as exc:
                 closed_loop_step(*args, k=5, initial=initial[i], warm=warm[i])
-            assert isinstance(stack.errors[i], PowerFlowError)
-            assert str(stack.errors[i]) == str(exc.value)
-            with pytest.raises(PowerFlowError) as raised:
-                stack[i]
-            assert raised.value is stack.errors[i]
+            error = plant_failure(states.failures[i], states.mismatch[i], 5)
+            assert type(error) is type(exc.value)
+            assert str(error) == str(exc.value)
             assert stack.qp_status[i] == "plant_failed"
             assert np.array_equal(stack.u_next[i], u[i], equal_nan=True)
             continue
         step, state = closed_loop_step(*args, k=5, initial=initial[i], warm=warm[i])
-        got = stack[i]
         for name in ("w", "u", "u_next"):
-            assert np.array_equal(getattr(got, name), getattr(step, name)), name
             assert np.array_equal(getattr(stack, name)[i], getattr(step, name)), name
-        assert np.array_equal(got.y.values, step.y.values)
-        assert (got.k, got.qp_status, got.active_set) == (step.k, step.qp_status, step.active_set)
+        assert np.array_equal(stack.y.values[i], step.y.values)
+        assert (stack.qp_status[i], stack.active_set[i]) == (step.qp_status, step.active_set)
         assert_same_state(states[i], state)
     # Members 2 and 4 take the same step: a hit and a fallback agree on the optimum.
     assert stack.active_set[2] == stack.active_set[4] == own.active_set
     assert np.max(np.abs(stack.w[2] - stack.w[4])) <= 1e-12
+
+
+def test_stack_whose_every_plant_fails(ring4, ring4_map, config):
+    """Every member's plant fails: the step QPs are a stack of none, and each member is marked failed."""
+    u = np.full((3, ring4.control_vector().size), np.nan)
+    target = SetPoint(0.2, 0.1)
+    template = step_qp_template(ring4, ring4_map, config.alpha)
+    stack, states = closed_loop_step(
+        ring4, u, ring4_map, [config.alpha] * 3, _tracking_gradients([target] * 3),
+        [template] * 3, k=2,
+    )
+    assert stack.qp_status == ("plant_failed",) * 3
+    assert np.all(stack.w == 0.0)
+    assert np.array_equal(stack.u_next, u, equal_nan=True)
+    assert np.isnan(stack.y.values).all()
+    for i in range(3):
+        with pytest.raises(PowerFlowError) as exc:
+            closed_loop_step(
+                ring4, u[i], ring4_map, config.alpha, lambda y: grad_cost(y, target), template, k=2
+            )
+        error = plant_failure(states.failures[i], states.mismatch[i], 2)
+        assert type(error) is type(exc.value)
+        assert str(error) == str(exc.value)
 
 
 def _record_step_qps(monkeypatch) -> list:

@@ -197,8 +197,8 @@ def test_trajectory_pickles_as_its_arrays(mc_inputs):
     traj = run_trial(grid, compute_sensitivity(grid), schedule, controller, noise, None, 2)
     before = pickle.dumps(traj, pickle.HIGHEST_PROTOCOL)
     assert len(traj.steps) > 5
-    step, state = traj.steps[0], traj.states[-1]
-    assert step.k == 0 and state.p_pcc == traj.pcc_path()[-1, 0]
+    p_measured, state = traj.steps.y.p_pcc, traj.states[-1]
+    assert p_measured.shape == (len(traj.steps),) and state.p_pcc == traj.pcc_path()[-1, 0]
     assert pickle.dumps(traj, pickle.HIGHEST_PROTOCOL) == before
     back = pickle.loads(before)
     assert np.array_equal(back.pcc_path(), traj.pcc_path())
