@@ -20,6 +20,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from flexsafe.grid_model import GridError
 from flexsafe.power_flow import PowerFlowError
 from flexsafe.qp_solver import QPError
@@ -39,7 +41,7 @@ from flexsafe.for_region import (
     sweep_for,
     sweep_settings,
 )
-from flexsafe.trajectory_analysis import robustness_verdict, verdict_payload
+from flexsafe.trajectory_analysis import TOL_SAFETY, robustness_verdict, verdict_payload
 from flexsafe.uncertainty_mc import (
     critical_fraction,
     density_histogram,
@@ -126,7 +128,9 @@ def _cmd_for(args) -> int:
     sample = sample_oracle_for(sc.grid, sc.oracle_samples, _effective_seed(sc, args))
     # With no feasible sample there is nothing to test: null, as coverage is.
     inside_fraction = (
-        float(contains_many(polygon, sample.points, tol=1e-3).mean()) if sample.n_feasible else None
+        float(contains_many(polygon, sample.points, tol=TOL_SAFETY).mean())
+        if sample.n_feasible
+        else None
     )
     summary = {
         "config_hash": sc.config_hash,
@@ -147,7 +151,8 @@ def _cmd_for(args) -> int:
         f"region: {polygon.n_vertices} vertices, area {polygon.area:.6g}, "
         f"{len(polygon.failures)} failed angles"
     )
-    tested = "none to test" if inside_fraction is None else f"{inside_fraction:.2%} inside at tol 1e-3"
+    tol = np.format_float_scientific(TOL_SAFETY, trim="-", exp_digits=1)  # 1e-3, not 0.001
+    tested = "none to test" if inside_fraction is None else f"{inside_fraction:.2%} inside at tol {tol}"
     print(f"oracle: {sample.n_feasible}/{sample.n_requested} feasible, {tested}")
     print(f"wrote {out / REGION_CSV}")
     return 0

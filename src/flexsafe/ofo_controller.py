@@ -97,7 +97,7 @@ class OFOStep:
     """One controller iteration: measurement in, control update out.
 
     ``active_set`` holds the step QP's binding (row, side) tags, empty
-    unless the QP was solved; the next step's QP is warm-started from it.
+    unless the QP was solved.
     """
 
     y: MeasurementVector
@@ -190,7 +190,8 @@ class _RunRecord:
     so the record is never held twice.  Keeping each step's arrays and
     stacking them at the end would leave the freed arrays in the
     allocator's heap beside the new stacks, and raise a long run's peak
-    resident set.
+    resident set.  Equal active sets are kept as one tuple, so a run
+    holds, pickles and unpickles each distinct set once.
     """
 
     STEP = ("w", "u", "u_next")
@@ -202,6 +203,7 @@ class _RunRecord:
         self.buffers.update((name, array(code)) for name, code in self.SCALARS.items())
         self.qp_status: list[str] = []
         self.active_set: list[tuple[tuple[int, str], ...]] = []
+        self.distinct_sets: dict[tuple, tuple] = {}
 
     def append(self, step: OFOStep, state: SystemState) -> None:
         buf = self.buffers
@@ -213,7 +215,7 @@ class _RunRecord:
         for name in self.SCALARS:
             buf[name].append(getattr(state, name))
         self.qp_status.append(step.qp_status)
-        self.active_set.append(step.active_set)
+        self.active_set.append(self.distinct_sets.setdefault(step.active_set, step.active_set))
 
     def _view(self, name: str, *shape: int, dtype=float) -> np.ndarray:
         return np.frombuffer(self.buffers[name], dtype=dtype).reshape(len(self.qp_status), *shape)
@@ -327,7 +329,7 @@ def closed_loop_step(
     k: int = 0,
     noise: NoiseModel | None = None,
     initial: SystemState | StateStack | None = None,
-    warm: tuple | Sequence[tuple | None] | None = None,
+    warm: Sequence[tuple | None] | None = None,
 ) -> tuple[OFOStep, SystemState] | tuple[StepRecord, StateStack]:
     """Run one closed-loop iteration against the true plant.
 
@@ -336,15 +338,16 @@ def closed_loop_step(
     ``initial`` (the previous step's true state); measure it; solve the step
     QP for the cost gradient ``gradient(y)``; clip the update to the unit
     box.  ``template`` is the loop's step_qp_template for (grid, smap,
-    alpha), and ``warm`` the active set of the loop's last solved step QP,
-    the guess solve_qp starts from.  Returns the OFOStep and the true plant
+    alpha).  One control vector's step QP is solved cold, and ``warm`` must
+    be None (ValueError otherwise).  Returns the OFOStep and the true plant
     state that produced the measurement; a plant that does not converge
     raises its plant_failure.  An infeasible QP holds the control (w = 0)
     rather than taking an unreliable direction.
 
     A (K, n_u) stack of controls steps K independent members in lockstep:
     ``alpha``, ``template`` and ``warm`` (if given) then hold one entry per
-    member, ``initial`` is a StateStack, and ``noise`` must be None (a
+    member, ``warm[i]`` being the active set of member i's last solved
+    step QP, ``initial`` is a StateStack, and ``noise`` must be None (a
     stack of any size, one included, raises ValueError).  ``gradient`` is
     then one callable for the stack: it maps the (K, n_y) MeasurementVector
     to the (K, n_y) gradients, row i member i's own; a member whose plant
@@ -366,6 +369,8 @@ def closed_loop_step(
     single = u.ndim == 1
     if noise is not None and not single:
         raise ValueError("a noise model drives one member, not a stack")
+    if warm is not None and single:
+        raise ValueError("a warm-start guess is per member of a stack, not for one control vector")
     load_delta = noise.perturb_grid(grid, k) if noise is not None else None
     states = solve_power_flow(grid, initial=initial, control=u, load_delta=load_delta)
     if single:
@@ -373,7 +378,7 @@ def closed_loop_step(
             raise plant_failure(None, states.mismatch, k)
         y = measure(states, noise.measurement_noise(k) if noise is not None else None)
         problem = build_step_qp(u, y, smap, grid, gradient(y), template)
-        solution = solve_qp(problem, warm=warm)
+        solution = solve_qp(problem)
         if solution.status == "optimal":
             w, u_next = solution.w, (u + alpha * solution.w).clip(*grid.control_bounds())
         else:
@@ -434,10 +439,9 @@ def run_schedule(
     max_iterations.  A diverging plant aborts the run; the partial record is
     returned rather than raised so ensemble studies can keep the evidence.
     Each step's power flow starts from the previous step's true state, and
-    every step derives its QP from one step_qp_template and warm-starts it
-    from the active set of the last step whose QP was solved.  The run keeps
-    only each step's values, one buffer per field, and returns them as the
-    Trajectory's StepRecord and StateStack.
+    every step derives its QP from one step_qp_template and solves it cold.
+    The run keeps only each step's values, one buffer per field, and returns
+    them as the Trajectory's StepRecord and StateStack.
     """
     if not schedule:
         raise ControllerError("schedule must contain at least one set point")
@@ -452,7 +456,6 @@ def run_schedule(
     aborted = False
     reason = None
     state = None
-    warm = None
     template = step_qp_template(grid, smap, config.alpha)
 
     for setpoint in schedule:
@@ -462,15 +465,13 @@ def run_schedule(
             try:
                 step, state = closed_loop_step(
                     grid, u, smap, config.alpha, lambda y: grad_cost(y, setpoint), template,
-                    k=k, noise=noise, initial=state, warm=warm,
+                    k=k, noise=noise, initial=state,
                 )
             except PowerFlowError as exc:
                 aborted = True
                 reason = str(exc)
                 break
             record.append(step, state)
-            if step.qp_status == "optimal":
-                warm = step.active_set
             k += 1
             if setpoint.distance(state.p_pcc, state.q_pcc) <= config.convergence_tol:
                 seg_converged = True

@@ -11,14 +11,16 @@ at a time, dropping blockers whose multiplier would turn negative.  The
 method needs no phase-1 point and certifies infeasibility when neither a
 primal nor a dual step exists.
 
-Online, consecutive problems usually bind the same rows, so solve_qp can
-be warm-started with the previous solution's active set (the hot start of
-online active-set QP: Ferreau, Bock and Diehl 2008).  The guess is tested
-by its equality projection: minimize ||w + g||^2 with the guessed rows held
-at their bounds.  If that point's multipliers are non-negative and it
-satisfies every row, it meets the KKT conditions, which for a strictly
-convex QP make it the unique optimum; otherwise the dual active-set method
-runs from the start as it would unguided.
+Online, consecutive problems usually bind the same rows, so solve_qp_stack
+can warm-start each member with its previous solution's active set (the
+hot start of online active-set QP: Ferreau, Bock and Diehl 2008).  The
+guess is tested by its equality projection: minimize ||w + g||^2 with the
+guessed rows held at their bounds.  If that point's multipliers are
+non-negative and it satisfies every row, it meets the KKT conditions, which
+for a strictly convex QP make it the unique optimum; otherwise the member
+goes to solve_qp, the dual active-set method from the start.  solve_qp
+itself takes no guess: on lone controller steps a guess, hit or miss, cost
+more than solving cold.
 
 check_kkt verifies a candidate point against the KKT system through an
 independent route (non-negative least squares on the active gradients).
@@ -32,9 +34,8 @@ and holds them as a ProblemStack of arrays; a member's infinite bounds must
 be its template's, so it shares the template's one-sided normals and their
 Gram matrix.  A lone step QP is a stack of one.  solve_qp_stack runs the
 warm test on those arrays for the whole stack and derives a problem only
-for a member that misses, which goes to the cold method alone.  solve_qp's
-warm test is the one-member case of the same code, so a member's solution
-does not depend on the stack it is solved in.
+for a member that misses, which goes to the cold method alone; a member's
+solution does not depend on the stack it is solved in.
 """
 
 from __future__ import annotations
@@ -343,37 +344,18 @@ def _solve_each(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return lam
 
 
-def solve_qp(
-    problem: QuadraticProgram,
-    max_iter: int | None = None,
-    warm: tuple[tuple[int, str], ...] | None = None,
-) -> QPSolution:
-    """Solve the QP; status is "optimal", "infeasible" or "iteration_limit".
+def solve_qp(problem: QuadraticProgram, max_iter: int | None = None) -> QPSolution:
+    """Solve the QP cold; status is "optimal", "infeasible" or "iteration_limit".
 
-    ``warm`` guesses the active set as (row, side) tags, typically the
-    previous solution's ``active_set``.  A guess that passes the test of
-    _warm_points, run on this problem's arrays as a stack of one (views,
-    nothing copied), gives the optimum at once,
-    counted as one iteration, with the guess as its active set.  An
-    unknown or repeated tag, a singular Gram slice or a failed test falls
-    back to the dual active-set method from the unconstrained minimum,
-    exactly as without a guess.
-
-    A lone warm test stays here: through solve_qp_stack as a stack of one,
-    16 serial Monte Carlo trials took 7% longer on a 2-core machine
-    (median 0.343 -> 0.366 s, slower in 9 of 10 alternating pairs).
+    The dual active-set method runs from the unconstrained minimum.  Only
+    solve_qp_stack warm-starts, and it sends a member whose guess misses
+    here.
     """
     c_all, b_all, tags = problem.expanded
     gram = problem._normals.gram
     n_con = c_all.shape[0]
     if max_iter is None:
         max_iter = 50 * (n_con + problem.n_var) + 100
-    if warm and max_iter >= 1 and (rows := _guess_rows(problem._normals, warm)) is not None:
-        hit, w = _warm_points(
-            c_all[None], gram[None], b_all[None], problem.g[None], np.array([rows])
-        )
-        if hit[0]:
-            return QPSolution(w=w[0], status="optimal", active_set=tuple(warm), iterations=1)
 
     w = -problem.g.copy()
     active: list[int] = []
@@ -434,13 +416,15 @@ def solve_qp(
 
 
 def solve_qp_stack(problems: ProblemStack, warm: Sequence[tuple | None]) -> list[QPSolution]:
-    """solve_qp(problems[j], warm=warm[j]) for each member j.
+    """Each member j's optimum, warm-started from its guess warm[j] of (row, side) tags.
 
     Members whose guesses name as many rows of normals of one shape are
-    warm-tested as one stack on the stack's arrays; no problem is derived
-    for a hit.  A member whose guess misses goes to the cold
-    solve_qp(problems[j]).  Each member's solution is bit for bit that of
-    its own solve_qp(problems[j], warm=warm[j]).
+    warm-tested as one stack on the stack's arrays (_warm_points); no
+    problem is derived for a hit, which is counted as one iteration with
+    the guess as its active set.  A member with no guess, or whose guess
+    names an unknown or repeated tag, has a singular Gram slice or fails
+    the test, goes to the cold solve_qp(problems[j]).  Each member's
+    solution is bit for bit that of its own one-member stack.
     """
     solutions: list[QPSolution | None] = [None] * len(problems)
     groups: dict[tuple, list[tuple[int, list[int]]]] = {}

@@ -242,7 +242,12 @@ def run_monte_carlo(
 
 @dataclass(frozen=True, eq=False)
 class DensityHistogram:
-    """2-D occupancy density over the PQ plane; rho integrates to one."""
+    """2-D occupancy density over the PQ plane; rho integrates to one.
+
+    A histogram with nothing binned (n_total 0: no state, or every state
+    outside its extent) has zero counts and zero rho, so its
+    normalization() is 0.0.
+    """
 
     p_edges: np.ndarray
     q_edges: np.ndarray
@@ -256,7 +261,7 @@ class DensityHistogram:
         return np.outer(np.diff(self.p_edges), np.diff(self.q_edges))
 
     def normalization(self) -> float:
-        """Integral of rho over the grid; exactly 1 up to rounding."""
+        """Integral of rho over the grid; 1 up to rounding, 0.0 when nothing was binned."""
         return float(np.sum(self.rho * self.cell_areas))
 
 
@@ -271,7 +276,10 @@ def density_histogram(
     With an explicit ``extent``, points outside are dropped and counted;
     the default extent is the data bounding box grown by 1e-9 on every
     side.  Density is count / (cell area x binned total), so the histogram
-    integrates to one by construction whenever anything was binned.
+    integrates to one by construction whenever anything was binned.  With
+    nothing to bin, an explicit extent gives an empty histogram (every
+    state and empty trajectory counted in n_dropped); without one,
+    ValueError is raised.
     """
     trajs = _as_trajectories(tset)
     pts_list: list[np.ndarray] = []
@@ -285,9 +293,9 @@ def density_histogram(
             pts_list.append(pts)
         else:
             pts_list.append(pts[min(iteration, pts.shape[0] - 1)].reshape(1, 2))
-    if not pts_list:
+    if not pts_list and extent is None:
         raise ValueError("no states to bin")
-    pts = np.vstack(pts_list)
+    pts = np.vstack(pts_list) if pts_list else np.empty((0, 2))
 
     if extent is None:
         span = 1e-9
@@ -298,9 +306,8 @@ def density_histogram(
         pts[:, 0], pts[:, 1], bins=bins, range=extent
     )
     n_binned = int(counts.sum())
-    if n_binned == 0:
-        raise ValueError("every state fell outside the histogram extent")
-    rho = counts / (np.outer(np.diff(p_edges), np.diff(q_edges)) * n_binned)
+    # With nothing binned every count is zero, and so is rho.
+    rho = counts / (np.outer(np.diff(p_edges), np.diff(q_edges)) * max(n_binned, 1))
     return DensityHistogram(
         p_edges=p_edges,
         q_edges=q_edges,

@@ -365,6 +365,25 @@ def test_mc_artifacts_and_reruns_identical(workdir):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_mc_with_nothing_to_bin_completes(workdir, capsys):
+    """Every trial aborts at step 0: the study still completes, Unsafe, with empty histograms."""
+    huge = {"household": 1e6, "industry": 1e6, "commercial": 1e6}
+    doc = base_doc(
+        noise={**NOISE, "load_sigma": huge},
+        mc={"n_trials": 3, "histogram_bins": 4, "histogram_iterations": [1]},
+    )
+    path = write_scenario(workdir, doc)
+    out = workdir / "empty"
+    assert main(["mc", str(path), "--out", str(out)]) == 0
+    assert "numerical failure" not in capsys.readouterr().err
+    summary = _strict_json((out / "mc_summary.json").read_text())
+    assert summary["report"]["verdict"]["safety_class"] == "unsafe"
+    assert summary["histogram"] == {"normalization": 0.0, "n_total": 0, "n_dropped": 3}
+    assert len(summary["failures"]) == 3
+    for name in ("mc_histogram.csv", "mc_histogram_k1.csv"):
+        assert (out / name).read_text().count("\n") == 1 + 4 * 4, name
+
+
 def test_run_is_trial_zero_of_mc_under_every_channel(workdir):
     """`run` applies the scenario's noise as mc's trial 0, the sensitivity channel included."""
     controller = {"alpha": 0.1, "max_iterations": 40}

@@ -155,6 +155,10 @@ def test_unreachable_target_exhausts_iterations(ring4, ring4_map):
     assert not traj.aborted
     assert len(traj.steps) == 40
     assert traj.segments[0].converged is False
+    # The limits bind step after step; the record keeps equal active sets as one tuple.
+    sets = traj.steps.active_set
+    assert any(sets)
+    assert len({id(a) for a in sets}) == len(set(sets)) < len(sets)
 
 
 def test_infeasible_qp_holds_control(ring4, ring4_map, config):
@@ -280,10 +284,11 @@ def test_stacked_step_members_equal_their_own_steps(ring4, ring4_map, monkeypatc
     """One kernel step over members with their own gains, templates, costs and guesses.
 
     The costs come as one stacked gradient.  Each row of the StepRecord
-    and each plant state are bit for bit its member's one-member step with
-    the same warm-start guess; a member whose plant fails is marked failed,
-    its StateStack row gives the error its own step raises, and the others
-    go on.
+    and each plant state are bit for bit its member's one-member stack
+    step with the same warm-start guess, and the guess-free member's are
+    also those of its one-vector step; a member whose plant fails is
+    marked failed, its StateStack row gives the error its own step raises,
+    and the others go on.
     """
     lower, upper = ring4.control_bounds()
     u = np.random.default_rng(8).uniform(lower, upper, size=(5, lower.size))
@@ -309,22 +314,36 @@ def test_stacked_step_members_equal_their_own_steps(ring4, ring4_map, monkeypatc
     assert len(stack) == len(states) == 5
     assert stack.y.values.shape == (5, len(own.y)) and np.isnan(stack.y.values[3]).all()
     for i in range(5):
-        args = (ring4, u[i], ring4_map, alphas[i], gradients[i], templates[i])
         if i == 3:
             with pytest.raises(PowerFlowError) as exc:
-                closed_loop_step(*args, k=5, initial=initial[i], warm=warm[i])
+                closed_loop_step(
+                    ring4, u[i], ring4_map, alphas[i], gradients[i], templates[i],
+                    k=5, initial=initial[i],
+                )
             error = plant_failure(states.failures[i], states.mismatch[i], 5)
             assert type(error) is type(exc.value)
             assert str(error) == str(exc.value)
             assert stack.qp_status[i] == "plant_failed"
             assert np.array_equal(stack.u_next[i], u[i], equal_nan=True)
             continue
-        step, state = closed_loop_step(*args, k=5, initial=initial[i], warm=warm[i])
+        alone, alone_states = closed_loop_step(
+            ring4, u[i : i + 1], ring4_map, [alphas[i]], _tracking_gradients([targets[i]]),
+            [templates[i]], k=5, initial=initial.take([i]), warm=[warm[i]],
+        )
         for name in ("w", "u", "u_next"):
-            assert np.array_equal(getattr(stack, name)[i], getattr(step, name)), name
-        assert np.array_equal(stack.y.values[i], step.y.values)
-        assert (stack.qp_status[i], stack.active_set[i]) == (step.qp_status, step.active_set)
-        assert_same_state(states[i], state)
+            assert np.array_equal(getattr(stack, name)[i], getattr(alone, name)[0]), name
+        assert np.array_equal(stack.y.values[i], alone.y.values[0])
+        assert (stack.qp_status[i], stack.active_set[i]) == (alone.qp_status[0], alone.active_set[0])
+        assert_same_state(states[i], alone_states[0])
+    # The guess-free member's step is its one-vector step.
+    step, state = closed_loop_step(
+        ring4, u[0], ring4_map, alphas[0], gradients[0], templates[0], k=5, initial=initial[0]
+    )
+    for name in ("w", "u", "u_next"):
+        assert np.array_equal(getattr(stack, name)[0], getattr(step, name)), name
+    assert np.array_equal(stack.y.values[0], step.y.values)
+    assert (stack.qp_status[0], stack.active_set[0]) == (step.qp_status, step.active_set)
+    assert_same_state(states[0], state)
     # Members 2 and 4 take the same step: a hit and a fallback agree on the optimum.
     assert stack.active_set[2] == stack.active_set[4] == own.active_set
     assert np.max(np.abs(stack.w[2] - stack.w[4])) <= 1e-12
@@ -357,9 +376,9 @@ def _record_step_qps(monkeypatch) -> list:
     """(problem, guess, solution) of every step QP the kernel solves, alone or in a stack."""
     solved = []
 
-    def recording(problem, max_iter=None, warm=None):
-        solution = solve_qp(problem, max_iter, warm)
-        solved.append((problem, warm, solution))
+    def recording(problem, max_iter=None):
+        solution = solve_qp(problem, max_iter)
+        solved.append((problem, None, solution))
         return solution
 
     def recording_stack(problems, warm):
@@ -374,7 +393,11 @@ def _record_step_qps(monkeypatch) -> list:
 
 @pytest.mark.parametrize("loop", ["ring4 sweep", "synth30 run"])
 def test_every_solved_step_qp_passes_the_kkt_check(loop, ring4, synth30, monkeypatch):
-    """The independent KKT check accepts each optimal step QP, solved warm or cold."""
+    """The independent KKT check accepts each optimal step QP, solved warm or cold.
+
+    Only the sweep's stacked step QPs are warm-started; a run's lone steps
+    are all solved cold.
+    """
     solved = _record_step_qps(monkeypatch)
     if loop == "ring4 sweep":
         assert sweep_for(ring4, n_angles=6).n_vertices == 6
@@ -390,7 +413,10 @@ def test_every_solved_step_qp_passes_the_kkt_check(loop, ring4, synth30, monkeyp
     hits = sum(
         bool(warm) and sol.iterations == 1 and sol.active_set == warm for _, warm, sol in optimal
     )
-    assert 0 < hits < len(optimal)
+    if loop == "ring4 sweep":
+        assert 0 < hits < len(optimal)
+    else:
+        assert hits == 0
     for problem, _, solution in optimal:
         assert check_kkt(problem, solution.w).residual < 1e-8
 
@@ -406,4 +432,14 @@ def test_noise_drives_one_member_only(ring4, ring4_map, config, k):
     with pytest.raises(ValueError, match="one member"):
         closed_loop_step(
             ring4, u, ring4_map, [0.1] * k, np.zeros_like, [template] * k, noise=noise
+        )
+
+
+def test_warm_guess_is_refused_for_one_control_vector(ring4, ring4_map, config):
+    """A warm-start guess is per member of a stack; one control vector's step QP is solved cold."""
+    template = step_qp_template(ring4, ring4_map, config.alpha)
+    with pytest.raises(ValueError, match="per member of a stack"):
+        closed_loop_step(
+            ring4, ring4.control_vector(), ring4_map, config.alpha, np.zeros_like, template,
+            warm=((0, "lower"),),
         )

@@ -510,6 +510,12 @@ def _problem(data, n, m):
     return QuadraticProgram(g=g, a=a, lower=lower, upper=upper)
 
 
+def _warm_solve(problem, guess):
+    """problem solved warm from guess, as a one-member solve_qp_stack."""
+    stack = derive_stack([problem], problem.g[None], problem.lower[None], problem.upper[None])
+    return solve_qp_stack(stack, [guess])[0]
+
+
 def _same_solution(sol, ref):
     assert sol.status == ref.status
     assert np.array_equal(sol.w, ref.w)
@@ -538,7 +544,7 @@ def test_warm_start_from_the_own_active_set_hits(data, n, m):
     lam = np.linalg.solve(gram, b[rows] + c[rows] @ problem.g)
     assume(np.linalg.cond(gram) <= 100.0 and lam.min() >= 1e-6)
     assume(np.max(np.abs(cold.w)) <= 10.0)
-    warm = solve_qp(problem, warm=cold.active_set)
+    warm = _warm_solve(problem, cold.active_set)
     assert warm.iterations == 1
     assert (warm.status, warm.active_set) == (cold.status, cold.active_set)
     assert np.max(np.abs(warm.w - cold.w)) <= 1e-12
@@ -571,7 +577,7 @@ def test_warm_start_from_any_guess_gives_the_cold_solution(data, n, m, kind):
         assume(len(tags) > n)
         guess = data.draw(st.lists(known, min_size=n + 1, max_size=len(tags), unique=True))
     cold = solve_qp(problem)
-    sol = solve_qp(problem, warm=tuple(guess))
+    sol = _warm_solve(problem, tuple(guess))
     hit = sol.iterations == 1 and sol.active_set == tuple(guess)
     event(f"{kind} guess {'hit' if hit else 'fell back'}")
     if hit:
@@ -606,7 +612,7 @@ def test_infeasible_instance_stays_infeasible_under_any_guess(data, n, m, gap):
     guess = data.draw(st.lists(st.sampled_from(tags), min_size=1, max_size=4))
     cold = solve_qp(problem)
     assert cold.status == "infeasible"
-    _same_solution(solve_qp(problem, warm=tuple(guess)), cold)
+    _same_solution(_warm_solve(problem, tuple(guess)), cold)
 
 
 def _guess(data, problem, kind):
@@ -643,7 +649,7 @@ def _guess(data, problem, kind):
     ),
 )
 def test_stacked_solves_equal_each_member_alone(data, n, m, kinds):
-    """Each member of solve_qp_stack is bit for bit its own solve_qp(problem, warm=guess).
+    """Each member of solve_qp_stack is bit for bit its own one-member stack.
 
     Members derive from one to three templates with m or m + 1 rows, so a
     stack mixes matrices and guess sizes, and stacks of two shapes are
@@ -672,7 +678,7 @@ def test_stacked_solves_equal_each_member_alone(data, n, m, kinds):
             for j, sol in zip(order, solve_qp_stack(stack, [guesses[j] for j in order])):
                 out[j] = sol
     for problem, guess, sol, again in zip(problems, guesses, stacked, reversed_stack):
-        alone = solve_qp(problem, warm=guess)
+        alone = _warm_solve(problem, guess)
         hit = guess and alone.iterations == 1 and alone.active_set == tuple(guess)
         event("hit" if hit else "cold")
         _same_solution(sol, alone)

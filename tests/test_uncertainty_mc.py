@@ -315,6 +315,19 @@ def test_histogram_explicit_extent_drops_outliers():
     assert hist.p_edges[0] == -1.0 and hist.p_edges[-1] == 1.0
 
 
+def test_histogram_explicit_extent_with_nothing_inside_is_empty():
+    """Every state outside, or no state at all: zero counts and rho, every point tallied as dropped."""
+    extent = ((-1.0, 1.0), (-1.0, 1.0))
+    outside = [make_trajectory([(5.0, 5.0), (9.0, 9.0)]), make_trajectory([(-3.0, 0.0)])]
+    for tset, dropped in ((outside, 3), ([], 0)):
+        hist = density_histogram(tset, bins=(3, 2), extent=extent)
+        assert (hist.n_total, hist.n_dropped) == (0, dropped)
+        assert hist.counts.shape == hist.rho.shape == (3, 2)
+        assert not hist.counts.any() and not hist.rho.any()
+        assert hist.normalization() == 0.0
+        assert hist.p_edges[0] == -1.0 and hist.q_edges[-1] == 1.0
+
+
 def test_histogram_empty_selection_raises():
     tset = [make_trajectory([(0.0, 0.0)])]
     with pytest.raises(ValueError):
