@@ -288,10 +288,15 @@ def _projection_step(c_all: np.ndarray, gram: np.ndarray, active: list[int], p: 
 
 
 def _guess_rows(normals: _Normals, guess) -> list[int] | None:
-    """The rows of normals that the guess's tags name, or None for an unknown or repeated tag."""
+    """The rows of normals that the guess's tags name, or None for an unknown or repeated tag.
+
+    More rows than variables give None too: their Gram slice is singular
+    even where rounding hides it.
+    """
     index = normals.rows
     rows = [index.get(tag, -1) for tag in guess]
-    return rows if -1 not in rows and len(set(rows)) == len(rows) else None
+    distinct = -1 not in rows and len(set(rows)) == len(rows)
+    return rows if distinct and len(rows) <= normals.c.shape[1] else None
 
 
 def _warm_points(c, gram, b, g, rows) -> tuple[np.ndarray, np.ndarray | None]:
@@ -422,8 +427,9 @@ def solve_qp_stack(problems: ProblemStack, warm: Sequence[tuple | None]) -> list
     warm-tested as one stack on the stack's arrays (_warm_points); no
     problem is derived for a hit, which is counted as one iteration with
     the guess as its active set.  A member with no guess, or whose guess
-    names an unknown or repeated tag, has a singular Gram slice or fails
-    the test, goes to the cold solve_qp(problems[j]).  Each member's
+    names an unknown or repeated tag or more rows than variables, has a
+    singular Gram slice or fails the test, goes to the cold
+    solve_qp(problems[j]).  Each member's
     solution is bit for bit that of its own one-member stack.
     """
     solutions: list[QPSolution | None] = [None] * len(problems)

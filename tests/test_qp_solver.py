@@ -615,6 +615,20 @@ def test_infeasible_instance_stays_infeasible_under_any_guess(data, n, m, gap):
     _same_solution(_warm_solve(problem, tuple(guess)), cold)
 
 
+def test_guess_of_more_rows_than_variables_falls_back():
+    """Three guessed rows in two variables are dependent: the guess misses, whatever rounding says.
+
+    Both sides of equality row 0 and row 1 give an exactly singular Gram
+    slice that LAPACK factors without complaint here, and whose projection
+    passed the warm test 7.8e-12 away from the cold optimum.
+    """
+    a = np.array([[0.0, 5.596358549892807], [0.0625, 3.0]])
+    bounds = np.array([-1.0, 0.0])
+    problem = QuadraticProgram(g=np.zeros(2), a=a, lower=bounds, upper=bounds)
+    guess = ((0, "lower"), (0, "upper"), (1, "lower"))
+    _same_solution(_warm_solve(problem, guess), solve_qp(problem))
+
+
 def _guess(data, problem, kind):
     """A warm-start guess of one kind for problem, or None where the kind has none."""
     tags = problem.expanded[2]
