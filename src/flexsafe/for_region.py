@@ -204,7 +204,7 @@ def _push_rays(
     Each ray minimizes its stage costs (_RayCosts) in turn with the
     controller's own constrained step; a stage's gain is scaled to the
     cost curvature seen through the PCC rows of the sensitivity map, and
-    each (ray, stage) derives its step QPs from one step_qp_template.  The
+    every ray and stage derives its step QPs from one step_qp_template.  The
     live rays' state is held as arrays: control, stage, steps and stalled
     steps in the stage, and the last solved step QP's active set, which
     warm-starts the next.  Every live ray takes one step per call of the
@@ -234,7 +234,7 @@ def _push_rays(
     directions = np.array(directions).reshape(-1, 2, 2)
     c, normal = directions[:, 0], directions[:, 1]
     alpha = np.array(alphas)
-    templates = [[step_qp_template(grid, smap, a) for a in row] for row in alpha.tolist()]
+    template = step_qp_template(grid, smap)
 
     # Per live ray: its index in ``rays``, control, stage, steps and stalled
     # steps in the stage, and warm-start guess.
@@ -253,7 +253,7 @@ def _push_rays(
             smap,
             alpha[live, stage],
             _RayCosts(c[live], normal[live], kappa[stage], mu[stage]),
-            [templates[r][s] for r, s in zip(live.tolist(), stage.tolist())],
+            template,
             k=k,
             initial=states,
             warm=guesses,
@@ -386,23 +386,18 @@ def sample_oracle_for(grid: GridModel, n_samples: int, seed) -> FORSample:
 def verify_vertices(grid: GridModel, polygon: FORPolygon) -> tuple[np.ndarray, np.ndarray]:
     """Re-simulate stored vertex controls; return (limit violations, PQ drift).
 
-    A healthy sweep shows violations at numerical zero and drift below the
-    re-simulation tolerance; either growing means the polygon no longer
-    describes this grid.
+    The controls are solved from a flat start as one stack, as the sweep
+    solves its pinned points.  A healthy sweep shows violations at
+    numerical zero and drift below the re-simulation tolerance; either
+    growing means the polygon no longer describes this grid.
     """
     if not polygon.controls:
         raise FORError("polygon carries no vertex controls to verify")
-    violations = np.empty(polygon.n_vertices)
-    drift = np.empty(polygon.n_vertices)
-    for i, u in enumerate(polygon.controls):
-        state = solve_power_flow(grid, control=u)
-        if not state.converged:
-            raise PowerFlowError(f"vertex {i} control no longer solves")
-        violations[i] = limit_violation(grid, state)
-        drift[i] = math.hypot(
-            state.p_pcc - polygon.vertices[i, 0], state.q_pcc - polygon.vertices[i, 1]
-        )
-    return violations, drift
+    states = solve_power_flow(grid, control=np.array(polygon.controls))
+    if not states.converged.all():
+        raise PowerFlowError(f"vertex {np.argmin(states.converged)} control no longer solves")
+    drift = np.hypot(states.p_pcc - polygon.vertices[:, 0], states.q_pcc - polygon.vertices[:, 1])
+    return limit_violation(grid, states), drift
 
 
 def export_for_csv(polygon: FORPolygon, path: str | Path) -> None:

@@ -2,15 +2,16 @@
 
 Each iteration measures the plant, forms the tracking-cost gradient pulled
 back through the constant sensitivity map, and solves a small QP for the
-update direction w:
+applied step w, alpha times the projected-gradient direction:
 
-    minimize  || w + 2 M^T grad_phi ||^2
+    minimize  || w + 2 alpha M^T grad_phi ||^2
     subject to  control box, voltage band and flow limits, all written on
-                the predicted next operating point u + alpha w.
+                the predicted next operating point u + w.
 
-The control is advanced by u <- u + alpha w.  Constraints on network
-quantities use the latest measurement plus the linearized change, so the
-scheme enforces limits through feedback rather than through an exact model.
+The control is advanced by u <- u + w.  The gain enters through g only, so
+the QP's matrix depends on the sensitivity map alone.  Constraints on
+network quantities use the latest measurement plus the linearized change,
+so the scheme enforces limits through feedback rather than an exact model.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ class NoiseModel(Protocol):
 class OFOStep:
     """One controller iteration: measurement in, control update out.
 
+    ``w`` is the applied step, u_next = u + w clipped to the unit box.
     ``active_set`` holds the step QP's binding (row, side) tags, empty
     unless the QP was solved.
     """
@@ -258,30 +260,21 @@ def grad_cost(y: MeasurementVector, setpoint: SetPoint) -> np.ndarray:
     return grad
 
 
-def step_qp_template(grid: GridModel, smap, alpha: float) -> QuadraticProgram:
-    """The part of every step QP that stays fixed for a run.
+def step_qp_template(grid: GridModel, smap) -> QuadraticProgram:
+    """The part of every step QP that stays fixed for a sensitivity map.
 
     Rows, in order: control box, voltage band, flow limits, all on the
-    step alpha w: the matrix [alpha I; alpha M_v; alpha M_s].  The bounds
-    are the limits themselves (the offsets at u = 0, y = 0), so the
-    template has the steps' finite bounds and its one-sided normals and
-    their Gram matrix serve every step (see build_step_qp).
+    step w: the matrix [I; M_v; M_s].  The bounds are the limits
+    themselves (the offsets at u = 0, y = 0), so the template has the
+    steps' finite bounds and its one-sided normals and their Gram matrix
+    serve every step of every gain (see build_step_qp).
     """
     m_mat = smap.matrix
     n, m = grid.n_bus, grid.n_branch
     lower_u, upper_u = grid.control_bounds()
-    # A huge alpha overflows to inf here; QuadraticProgram rejects it.
-    with np.errstate(over="ignore"):
-        a = np.vstack(
-            [
-                alpha * np.eye(lower_u.size),
-                alpha * m_mat[:n],
-                alpha * m_mat[n : n + m],
-            ]
-        )
     return QuadraticProgram(
-        g=np.zeros(a.shape[1]),
-        a=a,
+        g=np.zeros(m_mat.shape[1]),
+        a=np.vstack([np.eye(lower_u.size), m_mat[: n + m]]),
         lower=np.concatenate([lower_u, grid.v_min, np.zeros(m)]),
         upper=np.concatenate([upper_u, grid.v_max, grid.s_max]),
     )
@@ -292,31 +285,37 @@ def build_step_qp(
     y: MeasurementVector,
     smap,
     grid: GridModel,
+    alpha: float | np.ndarray,
     grad_phi: np.ndarray,
-    template: QuadraticProgram | Sequence[QuadraticProgram],
+    template: QuadraticProgram,
 ) -> QuadraticProgram | ProblemStack:
-    """Assemble the per-step direction QP at measurement y and control u.
+    """Assemble the per-step QP for the applied step w at measurement y and control u.
 
     Rows, in order: control box (exact, on the true u), voltage band and
     flow limits (linearized around the measurement).  All rows are written
-    on the post-step point u + alpha w.  ``template`` is the loop's
-    step_qp_template(grid, smap, alpha); each step supplies only its
-    gradient and offsets.
+    on the post-step point u + w.  The gain enters through the objective
+    alone: g = 2 M^T (alpha grad_phi), grad_phi the cost gradient.
+    ``template`` is step_qp_template(grid, smap); each step supplies only
+    its gain, gradient and offsets.  A gain that overflows g makes
+    derive_stack raise QPError, with no overflow warning.
 
-    With a (K, n_u) stack of controls, a stack of K measurements, a
-    (K, n_y) stack of gradients and one template per member, returns the
-    members' QPs as one ProblemStack (see derive_stack).  The offsets and
-    the vectors 2 M^T grad_phi are formed and checked for the whole stack;
-    np.matmul makes one matrix-vector product per member, so a member's
-    bits do not depend on its companions.
+    With a (K, n_u) stack of controls, a stack of K measurements, K gains
+    and a (K, n_y) stack of gradients, returns the members' QPs as one
+    ProblemStack of the template (see derive_stack).  The offsets and the
+    vectors g are formed and checked for the whole stack; np.matmul makes
+    one matrix-vector product per member, so a member's bits do not depend
+    on its companions.
     """
     lower_u, upper_u = grid.control_bounds()
     lower = np.concatenate([lower_u - u, grid.v_min - y.v, -y.s], axis=-1)
     upper = np.concatenate([upper_u - u, grid.v_max - y.v, grid.s_max - y.s], axis=-1)
     m_t = smap.matrix.T
-    if u.ndim == 1:
-        return derive_stack([template], 2.0 * (m_t @ grad_phi)[None], lower[None], upper[None])[0]
-    return derive_stack(template, 2.0 * np.matmul(m_t, grad_phi[..., None])[..., 0], lower, upper)
+    with np.errstate(over="ignore"):
+        if u.ndim == 1:
+            g = 2.0 * (m_t @ (alpha * grad_phi))
+            return derive_stack(template, g[None], lower[None], upper[None])[0]
+        scaled = np.asarray(alpha, dtype=float)[:, None] * grad_phi
+        return derive_stack(template, 2.0 * np.matmul(m_t, scaled[..., None])[..., 0], lower, upper)
 
 
 def closed_loop_step(
@@ -325,7 +324,7 @@ def closed_loop_step(
     smap,
     alpha: float | Sequence[float],
     gradient: Callable[[MeasurementVector], np.ndarray],
-    template: QuadraticProgram | Sequence[QuadraticProgram],
+    template: QuadraticProgram,
     k: int = 0,
     noise: NoiseModel | None = None,
     initial: SystemState | StateStack | None = None,
@@ -336,17 +335,18 @@ def closed_loop_step(
     The step kernel of every loop (dispatch, region sweep, gain
     calibration): solve the plant at u, Newton warm-started from
     ``initial`` (the previous step's true state); measure it; solve the step
-    QP for the cost gradient ``gradient(y)``; clip the update to the unit
-    box.  ``template`` is the loop's step_qp_template for (grid, smap,
-    alpha).  One control vector's step QP is solved cold, and ``warm`` must
-    be None (ValueError otherwise).  Returns the OFOStep and the true plant
-    state that produced the measurement; a plant that does not converge
-    raises its plant_failure.  An infeasible QP holds the control (w = 0)
-    rather than taking an unreliable direction.
+    QP for the gain-scaled gradient ``alpha * gradient(y)``; clip u + w, w
+    the QP's step, to the unit box.  ``template`` is step_qp_template(grid,
+    smap), shared by every gain; a gain that overflows g raises QPError.
+    One control vector's step QP is solved cold, and ``warm`` must be None
+    (ValueError otherwise).  Returns the OFOStep and the true plant state
+    that produced the measurement; a plant that does not converge raises
+    its plant_failure.  An infeasible QP holds the control (w = 0) rather
+    than taking an unreliable step.
 
     A (K, n_u) stack of controls steps K independent members in lockstep:
-    ``alpha``, ``template`` and ``warm`` (if given) then hold one entry per
-    member, ``warm[i]`` being the active set of member i's last solved
+    ``alpha`` and ``warm`` (if given) then hold one entry per member,
+    ``warm[i]`` being the active set of member i's last solved
     step QP, ``initial`` is a StateStack, and ``noise`` must be None (a
     stack of any size, one included, raises ValueError).  ``gradient`` is
     then one callable for the stack: it maps the (K, n_y) MeasurementVector
@@ -377,10 +377,10 @@ def closed_loop_step(
         if not states.converged:
             raise plant_failure(None, states.mismatch, k)
         y = measure(states, noise.measurement_noise(k) if noise is not None else None)
-        problem = build_step_qp(u, y, smap, grid, gradient(y), template)
+        problem = build_step_qp(u, y, smap, grid, alpha, gradient(y), template)
         solution = solve_qp(problem)
         if solution.status == "optimal":
-            w, u_next = solution.w, (u + alpha * solution.w).clip(*grid.control_bounds())
+            w, u_next = solution.w, (u + solution.w).clip(*grid.control_bounds())
         else:
             w, u_next = np.zeros(u.size), u.copy()
         step = OFOStep(
@@ -400,9 +400,8 @@ def closed_loop_step(
         values = np.full((len(u), len(y_live)), np.nan)
         values[live] = y_live.values
         y = MeasurementVector(values, y_live.n_bus, y_live.n_branch)
-    problems = build_step_qp(
-        u[live], y_live, smap, grid, gradient(y)[live], [template[i] for i in live]
-    )
+    gains = np.asarray(alpha, dtype=float)[live]
+    problems = build_step_qp(u[live], y_live, smap, grid, gains, gradient(y)[live], template)
     guesses = [None] * live.size if warm is None else [warm[i] for i in live]
     w = np.zeros(u.shape)
     status, active = ["plant_failed"] * len(u), [()] * len(u)
@@ -411,8 +410,7 @@ def closed_loop_step(
         if solution.status == "optimal":
             w[i] = solution.w
     optimal = np.array([s == "optimal" for s in status], dtype=bool)
-    stepped = (u + np.asarray(alpha, dtype=float)[:, None] * w).clip(*grid.control_bounds())
-    u_next = np.where(optimal[:, None], stepped, u)
+    u_next = np.where(optimal[:, None], (u + w).clip(*grid.control_bounds()), u)
     steps = StepRecord(
         y=y,
         w=w,
@@ -439,7 +437,8 @@ def run_schedule(
     max_iterations.  A diverging plant aborts the run; the partial record is
     returned rather than raised so ensemble studies can keep the evidence.
     Each step's power flow starts from the previous step's true state, and
-    every step derives its QP from one step_qp_template and solves it cold.
+    every step derives its QP from step_qp_template(grid, smap) and solves
+    it cold.
     The run keeps only each step's values, one buffer per field, and returns
     them as the Trajectory's StepRecord and StateStack.
     """
@@ -456,7 +455,7 @@ def run_schedule(
     aborted = False
     reason = None
     state = None
-    template = step_qp_template(grid, smap, config.alpha)
+    template = step_qp_template(grid, smap)
 
     for setpoint in schedule:
         seg_start = k

@@ -29,12 +29,12 @@ points.
 
 A problem whose matrix stays fixed while g and the bounds change (the
 controller's step QP) is built once as a template.  derive_stack checks the
-vectors of a stack of instances, each member from its own template, once,
-and holds them as a ProblemStack of arrays; a member's infinite bounds must
-be its template's, so it shares the template's one-sided normals and their
-Gram matrix.  A lone step QP is a stack of one.  solve_qp_stack runs the
-warm test on those arrays for the whole stack and derives a problem only
-for a member that misses, which goes to the cold method alone; a member's
+vectors of a stack of instances of one template once and holds them as a
+ProblemStack of arrays; a member's infinite bounds must be the template's,
+so every member shares the template's one-sided normals and their Gram
+matrix.  A lone step QP is a stack of one.  solve_qp_stack runs the warm
+test on those arrays for the whole stack and derives a problem only for a
+member that misses, which goes to the cold method alone; a member's
 solution does not depend on the stack it is solved in.
 """
 
@@ -85,7 +85,7 @@ class QuadraticProgram:
         g, lower, upper = (np.asarray(x, dtype=float) for x in (self.g, self.lower, self.upper))
         if g.ndim != 1:
             raise QPError(f"g must be a vector, got shape {g.shape}")
-        g, lower, upper = _checked_vectors([a], g[None], lower[None], upper[None])
+        g, lower, upper = _checked_vectors(a, g[None], lower[None], upper[None])
         object.__setattr__(self, "g", g[0])
         object.__setattr__(self, "lower", lower[0])
         object.__setattr__(self, "upper", upper[0])
@@ -161,22 +161,26 @@ class _Normals:
         return {tag: i for i, tag in enumerate(self.tags)}
 
 
-def _checked_vectors(matrices: Sequence[np.ndarray], g, lower, upper):
-    """g (K, n) and the bounds (K, rows) as float arrays, row j checked against matrices[j].
+def _checked_vectors(a: np.ndarray, g, lower, upper):
+    """g (K, n) and the bounds (K, rows) as float arrays, each row checked against the matrix a.
 
-    A bad stack raises the QPError that a bad member's own constructor
-    raises.
+    A member whose ||g||^2 overflows is refused: its objective cannot be
+    represented.  A bad stack raises the QPError that a bad member's own
+    constructor raises.
     """
     g, lower, upper = (np.asarray(x, dtype=float) for x in (g, lower, upper))
-    if g.ndim != 2 or len(g) != len(matrices):
-        raise QPError(f"g must be a stack of {len(matrices)} vectors, got shape {g.shape}")
-    if not np.isfinite(g).all():
-        raise QPError("g has non-finite entries")
-    for shape in {a.shape for a in matrices}:
-        if shape[1] != g.shape[1]:
-            raise QPError(f"a has {shape[1]} columns for a {g.shape[1]}-dim w")
-        if lower.shape != (len(g), shape[0]) or upper.shape != lower.shape:
-            raise QPError("bound vectors must have one entry per constraint row")
+    if lower.ndim != 2 or lower.shape[1] != a.shape[0] or upper.shape != lower.shape:
+        raise QPError("bound vectors must have one entry per constraint row")
+    if g.ndim != 2 or len(g) != len(lower):
+        raise QPError(f"g must be a stack of {len(lower)} vectors, got shape {g.shape}")
+    if g.shape[1] != a.shape[1]:
+        raise QPError(f"a has {a.shape[1]} columns for a {g.shape[1]}-dim w")
+    with np.errstate(over="ignore"):
+        norm2 = (g * g).sum(axis=1)
+    if not np.isfinite(norm2).all():
+        if not np.isfinite(g).all():
+            raise QPError("g has non-finite entries")
+        raise QPError("g is too large: the objective ||w + g||^2 overflows")
     crossed = lower > upper
     if crossed.any():
         j, bad = np.argwhere(crossed)[0]
@@ -194,54 +198,52 @@ def _interleaved_offsets(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProblemStack:
-    """K problems held as arrays: member j has templates[j]'s matrix and row j of g and the bounds.
+    """K problems held as arrays: member j has the template's matrix and row j of g and the bounds.
 
-    ``offsets`` interleaves each member's bounds as _offsets does; member
-    j's finite offsets are those of templates[j], so it has that
-    template's normals.  Indexing derives member j as a QuadraticProgram;
+    ``offsets`` interleaves each member's bounds as _offsets does; every
+    member's finite offsets are the template's, so it has the template's
+    normals.  Indexing derives member j as a QuadraticProgram;
     solve_qp_stack derives only the members it solves cold.
     """
 
-    templates: tuple[QuadraticProgram, ...]
+    template: QuadraticProgram
     g: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     offsets: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.templates)
+        return len(self.g)
 
     def __getitem__(self, j: int) -> QuadraticProgram:
-        """Member j as a problem of its own, sharing its template's normals."""
-        template = self.templates[j]
+        """Member j as a problem of its own, sharing the template's normals."""
         derived = object.__new__(QuadraticProgram)
         # Frozen: fill the instance dict, which cached_property reads first.
         derived.__dict__.update(
-            a=template.a, g=self.g[j], lower=self.lower[j], upper=self.upper[j],
-            _offsets=self.offsets[j], _normals=template._normals,
+            a=self.template.a, g=self.g[j], lower=self.lower[j], upper=self.upper[j],
+            _offsets=self.offsets[j], _normals=self.template._normals,
         )
         return derived
 
 
-def derive_stack(templates: Sequence[QuadraticProgram], g, lower, upper) -> ProblemStack:
-    """K problems: templates[j]'s matrix with row j of g, lower and upper.
+def derive_stack(template: QuadraticProgram, g, lower, upper) -> ProblemStack:
+    """K problems: the template's matrix with row j of g, lower and upper.
 
     The (K, n) g and (K, rows) bounds are checked once for the whole
-    stack, with the messages of the constructor.  Member j shares the
-    normals of templates[j], so its infinite bounds must be the template's;
+    stack, with the messages of the constructor.  Every member shares the
+    template's normals, so its infinite bounds must be the template's;
     QPError names the first member and row where they are not.
     """
-    templates = tuple(templates)
-    g, lower, upper = _checked_vectors([t.a for t in templates], g, lower, upper)
+    g, lower, upper = _checked_vectors(template.a, g, lower, upper)
     offsets = _interleaved_offsets(lower, upper)
-    finite = np.array([t._normals.finite for t in templates]).reshape(offsets.shape)
+    finite = template._normals.finite
     own = np.isfinite(offsets) != finite
     if own.any():
         j, side = np.argwhere(own)[0]
         row, bound = side >> 1, _SIDES[side & 1]
-        this, its = ("infinite", "finite") if finite[j, side] else ("finite", "infinite")
+        this, its = ("infinite", "finite") if finite[side] else ("finite", "infinite")
         raise QPError(f"member {j}, row {row}: {bound} bound {this}, template's {its}")
-    return ProblemStack(templates, g, lower, upper, offsets)
+    return ProblemStack(template, g, lower, upper, offsets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,23 +304,23 @@ def _guess_rows(normals: _Normals, guess) -> list[int] | None:
 def _warm_points(c, gram, b, g, rows) -> tuple[np.ndarray, np.ndarray | None]:
     """(hit, w): per member, whether its guessed rows are its active set, and its optimum.
 
-    Member j has the one-sided rows c[j] w >= b[j] with Gram matrix
-    gram[j], the vector g[j] and the guessed rows rows[j]; every member
-    guesses as many rows.  A guess is tested by its equality projection:
-    solve gram[S, S] lam = b_S + c_S g and form w = c_S^T lam - g.  The
-    point is a hit only when every multiplier is non-negative (NaN fails),
-    w is finite and every row, the guessed ones included, has slack
-    >= -TOL_QP; the guessed rows must also hold within TOL_QP of their
-    bounds, so a badly conditioned slice cannot pass on rounding.  A
-    singular slice misses.  w is None when no member's multipliers pass.
+    Member j has the one-sided rows c w >= b[j] (Gram matrix gram), the
+    vector g[j] and the guessed rows rows[j]; every member guesses as many
+    rows.  A guess is tested by its equality projection: solve
+    gram[S, S] lam = b_S + c_S g and form w = c_S^T lam - g.  The point is
+    a hit only when every multiplier is non-negative (NaN fails), w is
+    finite and every row, the guessed ones included, has slack >= -TOL_QP;
+    the guessed rows must also hold within TOL_QP of their bounds, so a
+    badly conditioned slice cannot pass on rounding.  A singular slice
+    misses.  w is None when no member's multipliers pass.
 
     np.linalg.solve and each np.matmul make one LAPACK or BLAS call per
     member, the call a stack of one makes, so a member's bits do not
     depend on the stack it is in.
     """
     k = np.arange(len(rows))[:, None]
-    c_s = c[k, rows]
-    gram_s = gram[k[..., None], rows[..., None], rows[:, None]]
+    c_s = c[rows]
+    gram_s = gram[rows[..., None], rows[:, None]]
     lam = _solve_each(gram_s, b[k, rows] + np.matmul(c_s, g[..., None])[..., 0])
     dual = (lam >= 0.0).all(axis=1)  # NaN fails
     if not dual.any():  # where most misses on noisy traffic end
@@ -423,7 +425,7 @@ def solve_qp(problem: QuadraticProgram, max_iter: int | None = None) -> QPSoluti
 def solve_qp_stack(problems: ProblemStack, warm: Sequence[tuple | None]) -> list[QPSolution]:
     """Each member j's optimum, warm-started from its guess warm[j] of (row, side) tags.
 
-    Members whose guesses name as many rows of normals of one shape are
+    Members whose guesses name as many rows of the template's normals are
     warm-tested as one stack on the stack's arrays (_warm_points); no
     problem is derived for a hit, which is counted as one iteration with
     the guess as its active set.  A member with no guess, or whose guess
@@ -433,26 +435,20 @@ def solve_qp_stack(problems: ProblemStack, warm: Sequence[tuple | None]) -> list
     solution is bit for bit that of its own one-member stack.
     """
     solutions: list[QPSolution | None] = [None] * len(problems)
-    groups: dict[tuple, list[tuple[int, list[int]]]] = {}
+    normals = problems.template._normals
+    groups: dict[int, list[tuple[int, list[int]]]] = {}
     for j, guess in enumerate(warm):
         if not guess:
             continue
-        normals = problems.templates[j]._normals
         rows = _guess_rows(normals, guess)
         if rows is not None:
-            groups.setdefault((len(rows), normals.c.shape), []).append((j, rows))
+            groups.setdefault(len(rows), []).append((j, rows))
     for members in groups.values():
         idx = [j for j, _ in members]
-        normals = [problems.templates[j]._normals for j in idx]
-        offsets = problems.offsets[idx]
-        hits, w = _warm_points(
-            np.array([n.c for n in normals]),
-            np.array([n.gram for n in normals]),
-            # A member's finite offsets are its template's kept rows.
-            offsets[np.isfinite(offsets)].reshape(len(idx), -1),
-            problems.g[idx],
-            np.array([rows for _, rows in members]),
-        )
+        # Every member's finite offsets are the template's kept rows.
+        b = problems.offsets[idx][:, normals.keep]
+        guessed = np.array([rows for _, rows in members])
+        hits, w = _warm_points(normals.c, normals.gram, b, problems.g[idx], guessed)
         for j in np.flatnonzero(hits):
             solutions[idx[j]] = QPSolution(
                 w=w[j], status="optimal", active_set=tuple(warm[idx[j]]), iterations=1

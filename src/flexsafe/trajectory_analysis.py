@@ -158,7 +158,7 @@ def classify(tset: TrajectorySet | Sequence[Trajectory], polygon: FORPolygon) ->
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """Wilson score interval for a binomial rate, 95% two-sided."""
+    """Wilson score interval for a binomial rate, 95% two-sided; exact at 0 and n successes."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
@@ -168,7 +168,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = z * math.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    lower = 0.0 if successes == 0 else center - half
+    return lower, 1.0 if successes == trials else center + half
 
 
 def coverage_metric(

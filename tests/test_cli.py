@@ -125,17 +125,23 @@ def test_non_finite_grid_number_exits_1(workdir, capsys, unit, index, key, value
 
 @pytest.mark.parametrize("command", ["run", "mc"])
 def test_overflowing_gain_exits_2(workdir, capsys, command):
-    """A finite but huge alpha overflows the step QP's rows: exit 2, no verdict, no warning."""
-    doc = base_doc(controller={"alpha": 1e308, "max_iterations": 20}, noise=NOISE, mc={"n_trials": 2})
-    path = write_scenario(workdir, doc)
-    out = workdir / "art"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main([command, str(path), "--out", str(out)]) == 2
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure:") and "Gram matrix" in err and "Traceback" not in err
-    assert not (out / "run_verdict.json").exists() and not (out / "mc_summary.json").exists()
+    """A finite but huge alpha overflows the step QP's g: exit 2, no verdict, no warning.
+
+    At 1e308 the scaled gradient itself overflows; at 1e200 it is finite
+    but its squared norm, the objective's scale, is not.
+    """
+    for alpha, why in ((1e308, "g has non-finite entries"), (1e200, "||w + g||^2 overflows")):
+        controller = {"alpha": alpha, "max_iterations": 20}
+        doc = base_doc(controller=controller, noise=NOISE, mc={"n_trials": 2})
+        path = write_scenario(workdir, doc)
+        out = workdir / f"art{alpha:g}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, str(path), "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and why in err and "Traceback" not in err
+        assert not (out / "run_verdict.json").exists() and not (out / "mc_summary.json").exists()
 
 
 def test_unsolvable_grid_exits_2(workdir, capsys):

@@ -131,6 +131,24 @@ def test_sweep_vertices_replay_on_true_plant(boxcase, boxcase_poly):
     assert np.max(drift) <= 1e-9
 
 
+def test_verify_vertices_matches_a_per_vertex_loop(boxcase, boxcase_poly):
+    """The vertex controls are re-solved as one stack; the error names the first failure."""
+    violations, drift = verify_vertices(boxcase, boxcase_poly)
+    for i, u in enumerate(boxcase_poly.controls):
+        state = solve_power_flow(boxcase, control=u)
+        assert violations[i] == limit_violation(boxcase, state)
+        p, q = boxcase_poly.vertices[i]
+        own = math.hypot(state.p_pcc - p, state.q_pcc - q)
+        assert drift[i] == pytest.approx(own, rel=1e-15, abs=0.0)
+    controls = list(boxcase_poly.controls)
+    controls[2] = controls[5] = np.full_like(controls[2], np.nan)
+    broken = FORPolygon(
+        vertices=boxcase_poly.vertices, angles=boxcase_poly.angles, controls=tuple(controls)
+    )
+    with pytest.raises(PowerFlowError, match="^vertex 2 control no longer solves$"):
+        verify_vertices(boxcase, broken)
+
+
 def test_ring4_sweep_mixed_binding(ring4):
     smap = compute_sensitivity(ring4)
     poly = sweep_for(ring4, smap=smap, n_angles=12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flexsafe import ofo_controller
-from flexsafe.for_region import sweep_for
+from flexsafe.for_region import GAIN_SCALE, SWEEP_STAGES, sweep_for
 from flexsafe.ofo_controller import (
     ControllerConfig,
     SetPoint,
@@ -47,34 +47,35 @@ def test_grad_cost_targets_pcc_rows(ring4):
 
 
 def test_step_qp_encodes_scaled_limits(ring4, ring4_map, config):
+    """The step QP's matrix is [I; M_v; M_s], the map's alone; g = 2 alpha M^T grad_phi."""
     u = ring4.control_vector()
     y = measure(solve_power_flow(ring4))
     grad = grad_cost(y, SetPoint(0.0, 0.0))
-    template = step_qp_template(ring4, ring4_map, config.alpha)
-    problem = build_step_qp(u, y, ring4_map, ring4, grad, template)
+    template = step_qp_template(ring4, ring4_map)
+    problem = build_step_qp(u, y, ring4_map, ring4, config.alpha, grad, template)
     n_ctrl2 = 2 * ring4.n_ctrl
     n, m = ring4.n_bus, len(ring4.branches)
     assert problem.a.shape == (n_ctrl2 + n + m, n_ctrl2)
-    # Control box rows are alpha * I with distance-to-bound limits.
+    # Control box rows are I with distance-to-bound limits.
     lower_u, upper_u = ring4.control_bounds()
-    assert np.allclose(problem.a[:n_ctrl2], config.alpha * np.eye(n_ctrl2))
+    assert np.array_equal(problem.a[:n_ctrl2], np.eye(n_ctrl2))
     assert np.allclose(problem.lower[:n_ctrl2], lower_u - u)
     assert np.allclose(problem.upper[:n_ctrl2], upper_u - u)
-    # Voltage rows project through the sensitivity map.
-    assert np.allclose(problem.a[n_ctrl2 : n_ctrl2 + n], config.alpha * ring4_map.matrix[:n])
+    # Voltage and flow rows project through the sensitivity map.
+    assert np.array_equal(problem.a[n_ctrl2:], ring4_map.matrix[: n + m])
     v_min = np.array([bus.v_min for bus in ring4.buses])
     v_max = np.array([bus.v_max for bus in ring4.buses])
     assert np.allclose(problem.lower[n_ctrl2 : n_ctrl2 + n], v_min - y.v)
     assert np.allclose(problem.upper[n_ctrl2 : n_ctrl2 + n], v_max - y.v)
-    # The gradient is pushed through the map: g = 2 M^T grad_phi... times 1/2
-    # in the ||w+g||^2 parameterization, i.e. g = M^T grad_phi.
+    # The gain-scaled gradient is pushed through the map.
     assert problem.g.shape == (n_ctrl2,)
-    assert np.all(np.isfinite(problem.g))
+    expected = 2.0 * config.alpha * ring4_map.matrix.T @ grad
+    assert np.allclose(problem.g, expected, rtol=1e-14, atol=0.0)
 
 
 def test_step_qp_from_template_matches_fresh_build(ring4, ring4_map, config):
     """A step QP derived from the run's template equals one built on its own."""
-    template = step_qp_template(ring4, ring4_map, config.alpha)
+    template = step_qp_template(ring4, ring4_map)
     rng = np.random.default_rng(4)
     lower_u, upper_u = ring4.control_bounds()
     n_rows = ring4.n_bus + ring4.n_branch
@@ -83,12 +84,12 @@ def test_step_qp_from_template_matches_fresh_build(ring4, ring4_map, config):
         y = measure(solve_power_flow(ring4, control=u))
         grad = grad_cost(y, SetPoint(rng.normal(), rng.normal()))
         fresh = QuadraticProgram(
-            g=2.0 * (ring4_map.matrix.T @ grad),
-            a=np.vstack([config.alpha * np.eye(u.size), config.alpha * ring4_map.matrix[:n_rows]]),
+            g=2.0 * (ring4_map.matrix.T @ (config.alpha * grad)),
+            a=np.vstack([np.eye(u.size), ring4_map.matrix[:n_rows]]),
             lower=np.concatenate([lower_u - u, ring4.v_min - y.v, -y.s]),
             upper=np.concatenate([upper_u - u, ring4.v_max - y.v, ring4.s_max - y.s]),
         )
-        derived = build_step_qp(u, y, ring4_map, ring4, grad, template)
+        derived = build_step_qp(u, y, ring4_map, ring4, config.alpha, grad, template)
         assert derived.a is template.a
         for name in ("g", "a", "lower", "upper"):
             assert np.array_equal(getattr(derived, name), getattr(fresh, name)), name
@@ -101,7 +102,7 @@ def test_step_qp_from_template_matches_fresh_build(ring4, ring4_map, config):
 def test_single_step_descends_cost(ring4, ring4_map, config):
     target = SetPoint(p_set=0.2, q_set=0.0)
     u = ring4.control_vector()
-    template = step_qp_template(ring4, ring4_map, config.alpha)
+    template = step_qp_template(ring4, ring4_map)
     step, state = closed_loop_step(
         ring4, u, ring4_map, config.alpha, lambda y: grad_cost(y, target), template
     )
@@ -110,7 +111,8 @@ def test_single_step_descends_cost(ring4, ring4_map, config):
     after_state = solve_power_flow(apply_control(ring4, step.u_next))
     after = target.distance(after_state.p_pcc, after_state.q_pcc)
     assert after < before
-    assert np.max(np.abs(step.u_next - step.u)) <= config.alpha * np.max(np.abs(step.w)) + 1e-12
+    # w is the applied step; the clip to the unit box only shortens it.
+    assert np.max(np.abs(step.u_next - step.u)) <= np.max(np.abs(step.w)) + 1e-12
 
 
 def test_run_schedule_reaches_reachable_target(ring4, ring4_map, config):
@@ -174,7 +176,7 @@ def test_infeasible_qp_holds_control(ring4, ring4_map, config):
             return MeasurementNoise(24.0, 25.0, np.random.default_rng(k))
 
     u = ring4.control_vector()
-    template = step_qp_template(ring4, ring4_map, config.alpha)
+    template = step_qp_template(ring4, ring4_map)
     step, _ = closed_loop_step(
         ring4, u, ring4_map, config.alpha, lambda y: grad_cost(y, SetPoint(0.0, 0.0)),
         template, noise=BrokenMeter(),
@@ -281,7 +283,7 @@ def _tracking_gradients(targets):
 
 
 def test_stacked_step_members_equal_their_own_steps(ring4, ring4_map, monkeypatch):
-    """One kernel step over members with their own gains, templates, costs and guesses.
+    """One kernel step over members with their own gains, costs and guesses, and one template.
 
     The costs come as one stacked gradient.  Each row of the StepRecord
     and each plant state are bit for bit its member's one-member stack
@@ -298,26 +300,26 @@ def test_stacked_step_members_equal_their_own_steps(ring4, ring4_map, monkeypatc
     targets = [SetPoint(0.2, 0.1), SetPoint(-0.1, 0.0), SetPoint(0.3, -0.2), SetPoint(0.0, 0.0),
                SetPoint(0.3, -0.2)]
     gradients = [lambda y, target=target: grad_cost(y, target) for target in targets]
-    templates = [step_qp_template(ring4, ring4_map, alpha) for alpha in alphas]
+    template = step_qp_template(ring4, ring4_map)
     initial = solve_power_flow(ring4, control=0.9 * np.nan_to_num(u))
     # No guess, the member's own cold active set, a wrong one and a repeated one.
-    own, _ = closed_loop_step(ring4, u[2], ring4_map, alphas[2], gradients[2], templates[2])
+    own, _ = closed_loop_step(ring4, u[2], ring4_map, alphas[2], gradients[2], template)
     assert own.active_set
     warm = [None, ((0, "lower"), (9, "upper")), own.active_set, ((1, "upper"),), 2 * own.active_set]
     solved = _record_step_qps(monkeypatch)
     stack, states = closed_loop_step(
-        ring4, u, ring4_map, alphas, _tracking_gradients(targets), templates,
+        ring4, u, ring4_map, alphas, _tracking_gradients(targets), template,
         k=5, initial=initial, warm=warm,
     )
-    assert [guess for _, guess, _ in solved] == [warm[i] for i in (0, 1, 2, 4)]
-    assert solved[2][2].iterations == 1 < solved[3][2].iterations  # hit, then fallback
+    assert [guess for _, _, guess, _ in solved] == [warm[i] for i in (0, 1, 2, 4)]
+    assert solved[2][3].iterations == 1 < solved[3][3].iterations  # hit, then fallback
     assert len(stack) == len(states) == 5
     assert stack.y.values.shape == (5, len(own.y)) and np.isnan(stack.y.values[3]).all()
     for i in range(5):
         if i == 3:
             with pytest.raises(PowerFlowError) as exc:
                 closed_loop_step(
-                    ring4, u[i], ring4_map, alphas[i], gradients[i], templates[i],
+                    ring4, u[i], ring4_map, alphas[i], gradients[i], template,
                     k=5, initial=initial[i],
                 )
             error = plant_failure(states.failures[i], states.mismatch[i], 5)
@@ -328,7 +330,7 @@ def test_stacked_step_members_equal_their_own_steps(ring4, ring4_map, monkeypatc
             continue
         alone, alone_states = closed_loop_step(
             ring4, u[i : i + 1], ring4_map, [alphas[i]], _tracking_gradients([targets[i]]),
-            [templates[i]], k=5, initial=initial.take([i]), warm=[warm[i]],
+            template, k=5, initial=initial.take([i]), warm=[warm[i]],
         )
         for name in ("w", "u", "u_next"):
             assert np.array_equal(getattr(stack, name)[i], getattr(alone, name)[0]), name
@@ -337,26 +339,26 @@ def test_stacked_step_members_equal_their_own_steps(ring4, ring4_map, monkeypatc
         assert_same_state(states[i], alone_states[0])
     # The guess-free member's step is its one-vector step.
     step, state = closed_loop_step(
-        ring4, u[0], ring4_map, alphas[0], gradients[0], templates[0], k=5, initial=initial[0]
+        ring4, u[0], ring4_map, alphas[0], gradients[0], template, k=5, initial=initial[0]
     )
     for name in ("w", "u", "u_next"):
         assert np.array_equal(getattr(stack, name)[0], getattr(step, name)), name
     assert np.array_equal(stack.y.values[0], step.y.values)
     assert (stack.qp_status[0], stack.active_set[0]) == (step.qp_status, step.active_set)
     assert_same_state(states[0], state)
-    # Members 2 and 4 take the same step: a hit and a fallback agree on the optimum.
+    # Members 2 and 4 take the same step: a hit and a fallback agree on the optimum,
+    # compared as directions w / alpha.
     assert stack.active_set[2] == stack.active_set[4] == own.active_set
-    assert np.max(np.abs(stack.w[2] - stack.w[4])) <= 1e-12
+    assert np.max(np.abs(stack.w[2] / alphas[2] - stack.w[4] / alphas[4])) <= 1e-12
 
 
 def test_stack_whose_every_plant_fails(ring4, ring4_map, config):
     """Every member's plant fails: the step QPs are a stack of none, and each member is marked failed."""
     u = np.full((3, ring4.control_vector().size), np.nan)
     target = SetPoint(0.2, 0.1)
-    template = step_qp_template(ring4, ring4_map, config.alpha)
+    template = step_qp_template(ring4, ring4_map)
     stack, states = closed_loop_step(
-        ring4, u, ring4_map, [config.alpha] * 3, _tracking_gradients([target] * 3),
-        [template] * 3, k=2,
+        ring4, u, ring4_map, [config.alpha] * 3, _tracking_gradients([target] * 3), template, k=2
     )
     assert stack.qp_status == ("plant_failed",) * 3
     assert np.all(stack.w == 0.0)
@@ -373,19 +375,24 @@ def test_stack_whose_every_plant_fails(ring4, ring4_map, config):
 
 
 def _record_step_qps(monkeypatch) -> list:
-    """(problem, guess, solution) of every step QP the kernel solves, alone or in a stack."""
-    solved = []
+    """(problem, gain, guess, solution) of every step QP the kernel solves, alone or in a stack."""
+    solved, gains = [], []
+
+    def building(u, y, smap, grid, alpha, grad_phi, template):
+        gains.append(alpha)
+        return build_step_qp(u, y, smap, grid, alpha, grad_phi, template)
 
     def recording(problem, max_iter=None):
         solution = solve_qp(problem, max_iter)
-        solved.append((problem, None, solution))
+        solved.append((problem, gains.pop(), None, solution))
         return solution
 
     def recording_stack(problems, warm):
         solutions = solve_qp_stack(problems, warm)
-        solved.extend(zip(problems, warm, solutions))
+        solved.extend(zip(problems, gains.pop(), warm, solutions))
         return solutions
 
+    monkeypatch.setattr(ofo_controller, "build_step_qp", building)
     monkeypatch.setattr(ofo_controller, "solve_qp", recording)
     monkeypatch.setattr(ofo_controller, "solve_qp_stack", recording_stack)
     return solved
@@ -396,7 +403,10 @@ def test_every_solved_step_qp_passes_the_kkt_check(loop, ring4, synth30, monkeyp
     """The independent KKT check accepts each optimal step QP, solved warm or cold.
 
     Only the sweep's stacked step QPs are warm-started; a run's lone steps
-    are all solved cold.
+    are all solved cold.  Each QP is checked in its direction form, on
+    sigma = w / alpha with the matrix alpha [I; M_v; M_s], so the bound
+    does not loosen with the gain: in the step form the stationarity
+    residual scales with alpha and the complementarity with alpha^2.
     """
     solved = _record_step_qps(monkeypatch)
     if loop == "ring4 sweep":
@@ -409,16 +419,18 @@ def test_every_solved_step_qp_passes_the_kkt_check(loop, ring4, synth30, monkeyp
             schedule.append(SetPoint(state.p_pcc, state.q_pcc))
         smap = compute_sensitivity(synth30)
         run_schedule(synth30, smap, schedule, ControllerConfig(alpha=0.05, max_iterations=200))
-    optimal = [(p, warm, sol) for p, warm, sol in solved if sol.status == "optimal"]
+    optimal = [record for record in solved if record[3].status == "optimal"]
     hits = sum(
-        bool(warm) and sol.iterations == 1 and sol.active_set == warm for _, warm, sol in optimal
+        bool(warm) and sol.iterations == 1 and sol.active_set == warm
+        for _, _, warm, sol in optimal
     )
     if loop == "ring4 sweep":
         assert 0 < hits < len(optimal)
     else:
         assert hits == 0
-    for problem, _, solution in optimal:
-        assert check_kkt(problem, solution.w).residual < 1e-8
+    for problem, alpha, _, solution in optimal:
+        direction = QuadraticProgram(problem.g / alpha, alpha * problem.a, problem.lower, problem.upper)
+        assert check_kkt(direction, solution.w / alpha).residual < 1e-8
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -427,19 +439,71 @@ def test_noise_drives_one_member_only(ring4, ring4_map, config, k):
     from flexsafe.uncertainty_mc import NoiseConfig, TrialNoise
 
     noise = TrialNoise(NoiseConfig(seed=1, meas_bounds=(-0.01, 0.01)), trial=0)
-    template = step_qp_template(ring4, ring4_map, config.alpha)
+    template = step_qp_template(ring4, ring4_map)
     u = np.zeros((k, 2 * ring4.n_ctrl))
     with pytest.raises(ValueError, match="one member"):
-        closed_loop_step(
-            ring4, u, ring4_map, [0.1] * k, np.zeros_like, [template] * k, noise=noise
-        )
+        closed_loop_step(ring4, u, ring4_map, [0.1] * k, np.zeros_like, template, noise=noise)
 
 
 def test_warm_guess_is_refused_for_one_control_vector(ring4, ring4_map, config):
     """A warm-start guess is per member of a stack; one control vector's step QP is solved cold."""
-    template = step_qp_template(ring4, ring4_map, config.alpha)
+    template = step_qp_template(ring4, ring4_map)
     with pytest.raises(ValueError, match="per member of a stack"):
         closed_loop_step(
             ring4, ring4.control_vector(), ring4_map, config.alpha, np.zeros_like, template,
             warm=((0, "lower"),),
         )
+
+
+def _sweep_gains(smap, n_angles: int = 8) -> list[float]:
+    """The gains the region sweep gives each ray and stage of an n_angles sweep."""
+    m_pcc = smap.matrix[-2:]
+    gains = []
+    for theta in 2.0 * np.pi * np.arange(n_angles) / n_angles:
+        outward = np.array([np.cos(theta), np.sin(theta)])
+        normal = np.array([-np.sin(theta), np.cos(theta)])
+        sigma_n2 = np.sum((normal @ m_pcc) ** 2)
+        sigma_c2 = np.sum((outward @ m_pcc) ** 2)
+        gains += [GAIN_SCALE / (mu * sigma_n2 + kappa * sigma_c2) for kappa, mu in SWEEP_STAGES]
+    return gains
+
+
+@pytest.mark.parametrize("name", ["ring4", "ring4_tightv", "synth30"])
+def test_step_form_matches_direction_form(name, request):
+    """The kernel's step is alpha times the direction QP's optimum, the QP written on alpha A.
+
+    The direction form minimizes ||sigma + 2 M^T grad_phi||^2 subject to
+    lower <= alpha [I; M_v; M_s] sigma <= upper; the kernel solves the same
+    problem for w = alpha sigma, so its step, status and active set are
+    the direction form's, at the sweep's own gains (9e-6 and up on ring4)
+    and at the controller's.  The steps are compared as directions, w / alpha.
+    """
+    grid = request.getfixturevalue(name)
+    smap = compute_sensitivity(grid)
+    template = step_qp_template(grid, smap)
+    rng = np.random.default_rng(20)
+    lower_u, upper_u = grid.control_bounds()
+    n_rows = grid.n_bus + grid.n_branch
+    statuses = set()
+    for alpha in [*_sweep_gains(smap), 1e-5, 1e-3, 0.05, 1.0]:
+        for _ in range(3):
+            u = rng.uniform(lower_u, upper_u)
+            target = SetPoint(rng.normal(scale=0.5), rng.normal(scale=0.5))
+            step, _ = closed_loop_step(
+                grid, u, smap, alpha, lambda y: grad_cost(y, target), template
+            )
+            y = step.y
+            direction = solve_qp(
+                QuadraticProgram(
+                    g=2.0 * (smap.matrix.T @ grad_cost(y, target)),
+                    a=alpha * np.vstack([np.eye(u.size), smap.matrix[:n_rows]]),
+                    lower=np.concatenate([lower_u - u, grid.v_min - y.v, -y.s]),
+                    upper=np.concatenate([upper_u - u, grid.v_max - y.v, grid.s_max - y.s]),
+                )
+            )
+            assert step.qp_status == direction.status
+            assert step.active_set == direction.active_set
+            if direction.status == "optimal":
+                assert np.max(np.abs(alpha * direction.w - step.w)) <= 1e-10 * alpha
+            statuses.add((step.qp_status, bool(step.active_set)))
+    assert ("optimal", True) in statuses

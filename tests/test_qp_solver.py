@@ -252,7 +252,20 @@ def test_overflowing_gram_matrix_rejected():
         with pytest.raises(QPError, match="Gram matrix"):
             solve_qp(problem)
         with pytest.raises(QPError, match="Gram matrix"):
-            derive_stack([problem], np.zeros((1, 2)), -np.ones((1, 2)), np.ones((1, 2)))
+            derive_stack(problem, np.zeros((1, 2)), -np.ones((1, 2)), np.ones((1, 2)))
+
+
+def test_overflowing_objective_rejected():
+    """A finite g whose squared norm overflows raises QPError, alone or stacked, with no warning."""
+    template = box([0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
+    g = np.array([[0.0, 0.0], [1e200, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QPError, match=r"\|\|w \+ g\|\|\^2 overflows"):
+            QuadraticProgram(g=g[1], a=np.eye(2), lower=-np.ones(2), upper=np.ones(2))
+        with pytest.raises(QPError, match=r"\|\|w \+ g\|\|\^2 overflows"):
+            derive_stack(template, g, -np.ones((2, 2)), np.ones((2, 2)))
+    assert len(derive_stack(template, 1e-50 * g, -np.ones((2, 2)), np.ones((2, 2)))) == 2
 
 
 def test_full_active_set_takes_no_rounding_step():
@@ -472,9 +485,9 @@ def test_derived_member_matches_fresh_problem(data, n, m, same_pattern):
     own_row = _own_pattern_row(template, lower, upper)
     if own_row is not None:
         with pytest.raises(QPError, match=rf"^member 0, row {own_row}: "):
-            derive_stack([template], g[None], lower[None], upper[None])
+            derive_stack(template, g[None], lower[None], upper[None])
         return
-    derived = derive_stack([template], g[None], lower[None], upper[None])[0]
+    derived = derive_stack(template, g[None], lower[None], upper[None])[0]
     fresh = QuadraticProgram(g=g, a=a, lower=lower, upper=upper)
     assert derived._normals is template._normals
     (c, b, tags), (c_ref, b_ref, tags_ref) = derived.expanded, fresh.expanded
@@ -488,18 +501,17 @@ def test_derived_member_matches_fresh_problem(data, n, m, same_pattern):
 def test_derive_stack_names_a_member_with_bounds_of_its_own():
     """Every member shares its template's normals, so its infinite bounds must be the template's."""
     template = box([0.0, 0.0], [-1.0, -np.inf], [1.0, 1.0])
-    members = [template] * 3
     g, lower, upper = np.zeros((3, 2)), np.tile(template.lower, (3, 1)), np.ones((3, 2))
-    assert len(derive_stack(members, g, lower, upper)) == 3
+    assert len(derive_stack(template, g, lower, upper)) == 3
     lower[2, 0] = -np.inf
     with pytest.raises(QPError, match="^member 2, row 0: lower bound infinite, template's finite$"):
-        derive_stack(members, g, lower, upper)
+        derive_stack(template, g, lower, upper)
     lower[2, 0], lower[1, 1] = -1.0, 0.0
     with pytest.raises(QPError, match="^member 1, row 1: lower bound finite, template's infinite$"):
-        derive_stack(members, g, lower, upper)
+        derive_stack(template, g, lower, upper)
     lower[1, 1], upper[0, 1] = -np.inf, np.inf
     with pytest.raises(QPError, match="^member 0, row 1: upper bound infinite, template's finite$"):
-        derive_stack(members, g, lower, upper)
+        derive_stack(template, g, lower, upper)
 
 
 def _problem(data, n, m):
@@ -512,7 +524,7 @@ def _problem(data, n, m):
 
 def _warm_solve(problem, guess):
     """problem solved warm from guess, as a one-member solve_qp_stack."""
-    stack = derive_stack([problem], problem.g[None], problem.lower[None], problem.upper[None])
+    stack = derive_stack(problem, problem.g[None], problem.lower[None], problem.upper[None])
     return solve_qp_stack(stack, [guess])[0]
 
 
@@ -665,32 +677,25 @@ def _guess(data, problem, kind):
 def test_stacked_solves_equal_each_member_alone(data, n, m, kinds):
     """Each member of solve_qp_stack is bit for bit its own one-member stack.
 
-    Members derive from one to three templates with m or m + 1 rows, so a
-    stack mixes matrices and guess sizes, and stacks of two shapes are
-    solved; a singular slice shares its stack group with the members
-    around it.  Reversing the stack must not change any member's solution
-    either.
+    The members share one template with their own g, bounds and guesses,
+    so a stack mixes guess sizes; a singular slice shares its stack group
+    with the members around it.  Reversing the stack must not change any
+    member's solution either.
     """
-    n_templates = data.draw(st.integers(1, 3))
-    templates = [_problem(data, n, m + data.draw(st.integers(0, 1))) for _ in range(n_templates)]
-    # Members of one matrix shape share a stack; each shape is a stack of its own.
-    members = [data.draw(st.sampled_from(templates)) for _ in kinds]
+    template = _problem(data, n, m)
     vectors = []
-    for template in members:
+    for _ in kinds:
         lower, upper = _shifted(data, template)
         vectors.append((data.draw(arrays(np.float64, (n,), elements=ENTRY)), lower, upper))
-    problems = [
-        derive_stack([template], *(x[None] for x in v))[0] for template, v in zip(members, vectors)
-    ]
+    problems = [derive_stack(template, *(x[None] for x in v))[0] for v in vectors]
     guesses = [_guess(data, problem, kind) for problem, kind in zip(problems, kinds)]
     stacked, reversed_stack = [None] * len(kinds), [None] * len(kinds)
-    for rows in {t.a.shape[0] for t in members}:
-        js = [j for j, t in enumerate(members) if t.a.shape[0] == rows]
-        for order, out in ((js, stacked), (js[::-1], reversed_stack)):
-            g, lower, upper = (np.array(x) for x in zip(*(vectors[j] for j in order)))
-            stack = derive_stack([members[j] for j in order], g, lower, upper)
-            for j, sol in zip(order, solve_qp_stack(stack, [guesses[j] for j in order])):
-                out[j] = sol
+    js = list(range(len(kinds)))
+    for order, out in ((js, stacked), (js[::-1], reversed_stack)):
+        g, lower, upper = (np.array(x) for x in zip(*(vectors[j] for j in order)))
+        stack = derive_stack(template, g, lower, upper)
+        for j, sol in zip(order, solve_qp_stack(stack, [guesses[j] for j in order])):
+            out[j] = sol
     for problem, guess, sol, again in zip(problems, guesses, stacked, reversed_stack):
         alone = _warm_solve(problem, guess)
         hit = guess and alone.iterations == 1 and alone.active_set == tuple(guess)
@@ -704,26 +709,25 @@ def test_stacked_solves_equal_each_member_alone(data, n, m, kinds):
 def test_derive_stack_matches_each_member_alone(data, n, m, k):
     """Stacked derivation gives each member what its own stack of one gives.
 
-    Each member's bounds keep its template's infinite entries or, when a
+    Each member's bounds keep the template's infinite entries or, when a
     drawn flag says so, have a pattern of their own; a stack with such a
     member is refused, naming the first one.
     """
-    templates = [_problem(data, n, m) for _ in range(data.draw(st.integers(1, 3)))]
-    members = [data.draw(st.sampled_from(templates)) for _ in range(k)]
+    template = _problem(data, n, m)
     g = data.draw(arrays(np.float64, (k, n), elements=ENTRY))
     own = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
-    bounds = [_bounds(data, m) if o else _shifted(data, t) for t, o in zip(members, own)]
+    bounds = [_bounds(data, m) if o else _shifted(data, template) for o in own]
     lower, upper = (np.array(x).reshape(k, m) for x in zip(*bounds))
-    own_rows = [_own_pattern_row(t, lower[j], upper[j]) for j, t in enumerate(members)]
+    own_rows = [_own_pattern_row(template, lower[j], upper[j]) for j in range(k)]
     if any(row is not None for row in own_rows):
         j = next(j for j, row in enumerate(own_rows) if row is not None)
         with pytest.raises(QPError, match=rf"^member {j}, row {own_rows[j]}: "):
-            derive_stack(members, g, lower, upper)
+            derive_stack(template, g, lower, upper)
         return
-    stack = derive_stack(members, g, lower, upper)
-    for j, template in enumerate(members):
+    stack = derive_stack(template, g, lower, upper)
+    for j in range(k):
         derived = stack[j]
-        alone = derive_stack([template], g[j : j + 1], lower[j : j + 1], upper[j : j + 1])[0]
+        alone = derive_stack(template, g[j : j + 1], lower[j : j + 1], upper[j : j + 1])[0]
         assert derived.a is template.a
         for name in ("g", "lower", "upper"):
             assert np.array_equal(getattr(derived, name), getattr(alone, name)), name
@@ -735,21 +739,21 @@ def test_derive_stack_matches_each_member_alone(data, n, m, k):
 def test_derive_stack_checks_the_stack_as_the_constructor_does():
     template = box([0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
     good = np.zeros((2, 2)), -np.ones((2, 2)), np.ones((2, 2))
-    assert len(derive_stack([template] * 2, *good)) == 2
-    assert len(derive_stack([], np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)))) == 0
+    assert len(derive_stack(template, *good)) == 2
+    assert len(derive_stack(template, np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)))) == 0
     g, lower, upper = (x.copy() for x in good)
     g[1, 0] = np.inf
     with pytest.raises(QPError, match="g has non-finite entries"):
-        derive_stack([template] * 2, g, lower, upper)
+        derive_stack(template, g, lower, upper)
     with pytest.raises(QPError, match="a has 2 columns for a 3-dim w"):
-        derive_stack([template] * 2, np.zeros((2, 3)), lower, upper)
+        derive_stack(template, np.zeros((2, 3)), lower, upper)
     with pytest.raises(QPError, match="one entry per constraint row"):
-        derive_stack([template] * 2, good[0], np.zeros((2, 3)), upper)
+        derive_stack(template, good[0], np.zeros((2, 3)), upper)
     with pytest.raises(QPError, match="stack of 2 vectors"):
-        derive_stack([template] * 2, np.zeros(2), lower, upper)
+        derive_stack(template, np.zeros(2), lower, upper)
     lower[1, 1] = 2.0
     with pytest.raises(QPError, match=r"row 1: lower bound 2.0 exceeds upper 1.0"):
-        derive_stack([template] * 2, good[0], lower, upper)
+        derive_stack(template, good[0], lower, upper)
 
 
 def test_with_vectors_checks_the_new_vectors():
@@ -757,10 +761,10 @@ def test_with_vectors_checks_the_new_vectors():
     template = box([0.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
     lower, upper = template.lower[None], template.upper[None]
     with pytest.raises(QPError, match="non-finite"):
-        derive_stack([template], np.array([[np.nan, 0.0]]), lower, upper)
+        derive_stack(template, np.array([[np.nan, 0.0]]), lower, upper)
     with pytest.raises(QPError, match="one entry per constraint row"):
-        derive_stack([template], np.zeros((1, 2)), np.zeros((1, 3)), np.ones((1, 2)))
+        derive_stack(template, np.zeros((1, 2)), np.zeros((1, 3)), np.ones((1, 2)))
     with pytest.raises(QPError, match="columns"):
-        derive_stack([template], np.zeros((1, 3)), lower, upper)
+        derive_stack(template, np.zeros((1, 3)), lower, upper)
     with pytest.raises(QPError, match="exceeds upper"):
-        derive_stack([template], np.zeros((1, 2)), np.ones((1, 2)), np.zeros((1, 2)))
+        derive_stack(template, np.zeros((1, 2)), np.ones((1, 2)), np.zeros((1, 2)))

@@ -119,6 +119,15 @@ def test_wilson_interval_reference_values():
         wilson_interval(11, 10)
 
 
+def test_wilson_interval_exact_ends():
+    """No successes give a lower end of exactly 0.0, all successes an upper end of exactly 1.0."""
+    for n in range(1, 501):
+        lo, hi = wilson_interval(0, n)
+        assert lo == 0.0 and 0.0 < hi < 1.0
+        lo, hi = wilson_interval(n, n)
+        assert hi == 1.0 and 0.0 < lo < 1.0
+
+
 def test_coverage_grows_with_spread(diamond):
     tight = [
         make_trajectory([(0.0, 0.0), (0.1, 0.0)], target=(0.1, 0.0)),
