@@ -47,11 +47,11 @@ from flexsafe.ofo_controller import (
     SetPoint,
     Trajectory,
     build_step_qp,
-    calibrate_alpha,
     closed_loop_step,
     export_trajectory_csv,
     grad_cost,
     run_schedule,
+    stability_edge,
     step_qp_template,
 )
 from flexsafe.for_region import (

@@ -30,6 +30,7 @@ from flexsafe.ofo_controller import (
     ControllerError,
     SetPoint,
     export_trajectory_csv,
+    stability_edge,
 )
 from flexsafe.for_region import (
     FORError,
@@ -145,6 +146,7 @@ def _cmd_for(args) -> int:
             "n_diverged": sample.n_diverged,
             "inside_fraction": inside_fraction,
         },
+        "stability_edge": stability_edge(smap),
     }
     _write_json(summary, out / "for_summary.json")
     print(
@@ -188,6 +190,8 @@ def _cmd_run(args) -> int:
     payload = verdict_payload(report)
     payload["config_hash"] = sc.config_hash
     payload["grid"] = sc.grid_path.name
+    payload["alpha"] = sc.controller.alpha
+    payload["stability_edge"] = stability_edge(smap)
     _write_json(payload, out / "run_verdict.json")
     print(
         f"{len(trajectories)} run(s): verdict {report.verdict.safety_class.value}, "
@@ -234,6 +238,8 @@ def _cmd_mc(args) -> int:
         "grid": sc.grid_path.name,
         "seed": noise_cfg.seed,
         "n_trials": sc.mc_trials,
+        "alpha": sc.controller.alpha,
+        "stability_edge": stability_edge(smap),
         "report": verdict_payload(report),
         "critical_fraction": crit,
         "critical_ci": [crit_ci[0], crit_ci[1]],

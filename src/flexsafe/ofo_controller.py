@@ -46,7 +46,7 @@ from flexsafe.qp_solver import (
 
 
 class ControllerError(Exception):
-    """Controller setup or calibration failure."""
+    """Controller setup failure, or a map that gives the loop no gain edge."""
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,14 @@ class ControllerConfig:
     convergence_tol: float = 1e-3
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
+        if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0):
+            raise ValueError(
+                f"convergence_tol must be finite and positive, got {self.convergence_tol}"
+            )
 
 
 class NoiseModel(Protocol):
@@ -332,12 +334,12 @@ def closed_loop_step(
 ) -> tuple[OFOStep, SystemState] | tuple[StepRecord, StateStack]:
     """Run one closed-loop iteration against the true plant.
 
-    The step kernel of every loop (dispatch, region sweep, gain
-    calibration): solve the plant at u, Newton warm-started from
-    ``initial`` (the previous step's true state); measure it; solve the step
-    QP for the gain-scaled gradient ``alpha * gradient(y)``; clip u + w, w
-    the QP's step, to the unit box.  ``template`` is step_qp_template(grid,
-    smap), shared by every gain; a gain that overflows g raises QPError.
+    The step kernel of every loop (dispatch and region sweep): solve the
+    plant at u, Newton warm-started from ``initial`` (the previous step's
+    true state); measure it; solve the step QP for the gain-scaled gradient
+    ``alpha * gradient(y)``; clip u + w, w the QP's step, to the unit box.
+    ``template`` is step_qp_template(grid, smap), shared by every gain; a
+    gain that overflows g raises QPError.
     One control vector's step QP is solved cold, and ``warm`` must be None
     (ValueError otherwise).  Returns the OFOStep and the true plant state
     that produced the measurement; a plant that does not converge raises
@@ -517,40 +519,29 @@ def export_trajectory_csv(traj: Trajectory, grid: GridModel, path: str | Path) -
             )
 
 
-def calibrate_alpha(
-    grid: GridModel,
-    smap,
-    setpoint: SetPoint,
-    lo: float = 1e-3,
-    hi: float = 4.0,
-    max_iterations: int = 1000,
-    convergence_tol: float = 1e-3,
-    rounds: int = 24,
-) -> float:
-    """Largest gain that still converges on the noise-free plant.
+def stability_edge(smap) -> float:
+    """Largest gain for which the loop, linearized at the map's point, is stable.
 
-    Log-scale bisection on the stability boundary: small gains converge,
-    gains past 1/(2 lambda_max) of the PCC quadratic diverge.  Used offline
-    to pick per-network defaults.  The iteration budget must be generous
-    enough for the lo bracket, whose convergence is the slowest.
+    A step moves the control by w = -4 alpha M_pcc^T e, e the PCC tracking
+    error and M_pcc the map's two PCC rows (smap.matrix[-2:]), so the error
+    evolves as e <- (I - 4 alpha M_pcc M_pcc^T) e.  That contracts exactly
+    when alpha < 1 / (2 lambda_max(M_pcc M_pcc^T)), the edge returned here.
+    Two things move the true edge away from it.  Binding limits project
+    M_pcc onto the directions they leave free, which can only lower
+    lambda_max and so only raise the edge.  Mismatch between the plant and
+    the map can lower it: the error then evolves with M_true M_pcc^T, and on
+    the ring4 fixture, at the farthest vertex of its 144-ray region, that
+    product gives an edge of 0.2066 against the map's 0.2277.  Raises
+    ControllerError when the PCC rows give no positive finite lambda_max,
+    that is, when the controls do not move the PCC flow.
     """
-
-    def converges(alpha: float) -> bool:
-        cfg = ControllerConfig(
-            alpha=alpha, max_iterations=max_iterations, convergence_tol=convergence_tol
-        )
-        traj = run_schedule(grid, smap, [setpoint], cfg)
-        return traj.converged and not traj.aborted
-
-    if not converges(lo):
-        raise ControllerError(f"no convergence even at alpha={lo}; check the set point")
-    if converges(hi):
-        return hi
-    good, bad = lo, hi
-    for _ in range(rounds):
-        mid = math.sqrt(good * bad)
-        if converges(mid):
-            good = mid
-        else:
-            bad = mid
-    return good
+    m_pcc = smap.matrix[-2:]
+    (a, b), (_, c) = (m_pcc @ m_pcc.T).tolist()
+    # The larger eigenvalue of the symmetric 2x2 in closed form: the first
+    # np.linalg.eigvalsh call of a process raised its peak resident set by
+    # about 0.6 MB, for a 2x2.
+    lam = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+    edge = 0.5 / lam if lam > 0 else math.inf
+    if not 0.0 < edge < math.inf:
+        raise ControllerError(f"the controls do not move the PCC flow (lambda_max {lam!r})")
+    return edge

@@ -26,8 +26,8 @@ from flexsafe.grid_model import load_grid
 from flexsafe.ofo_controller import (
     ControllerConfig,
     SetPoint,
-    calibrate_alpha,
     run_schedule,
+    stability_edge,
 )
 from flexsafe.power_flow import nodal_residuals, solve_power_flow
 from flexsafe.qp_solver import check_kkt, solve_qp
@@ -152,14 +152,10 @@ def test_a3_vertex_tracking_converges_and_is_safe(ring4_sweep):
     grid, smap, polygon, sweep_seconds = ring4_sweep
     start = time.perf_counter()
 
-    # Calibrate the stability edge against the farthest vertex, then deploy
-    # at a quarter of the edge so transients stay inside the region.
-    far = polygon.vertices[
-        np.argmax(np.hypot(polygon.vertices[:, 0], polygon.vertices[:, 1]))
-    ]
-    edge = calibrate_alpha(grid, smap, SetPoint(far[0], far[1]))
+    # Deploy at a quarter of the map's stability edge, so transients stay
+    # inside the region.
     config = ControllerConfig(
-        alpha=edge / 4.0, max_iterations=500, convergence_tol=1e-3
+        alpha=stability_edge(smap) / 4.0, max_iterations=500, convergence_tol=1e-3
     )
 
     trajectories = tuple(

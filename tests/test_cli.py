@@ -13,7 +13,7 @@ import pytest
 import flexsafe
 from flexsafe import for_region
 from flexsafe.cli import _region_stamp, main
-from flexsafe.ofo_controller import export_trajectory_csv
+from flexsafe.ofo_controller import export_trajectory_csv, stability_edge
 from flexsafe.scenario import load_scenario
 from flexsafe.sensitivity import compute_sensitivity
 from flexsafe.uncertainty_mc import run_monte_carlo
@@ -43,6 +43,12 @@ def base_doc(grid="ring4.json", **extra):
     }
     doc.update(extra)
     return doc
+
+
+def nominal_edge(path):
+    """The stability edge of the scenario's sensitivity map at its u0."""
+    sc = load_scenario(path)
+    return stability_edge(compute_sensitivity(sc.grid, sc.u0))
 
 
 NOISE = {
@@ -166,6 +172,7 @@ def test_for_command_artifacts(workdir, capsys):
     assert summary["area"] > 0
     assert summary["oracle"]["n_feasible"] > 0
     assert 0.0 <= summary["oracle"]["inside_fraction"] <= 1.0
+    assert summary["stability_edge"] == nominal_edge(path)
     assert summary["config_hash"]
     stdout = capsys.readouterr().out
     assert "vertices" in stdout and "oracle" in stdout
@@ -187,6 +194,8 @@ def test_run_command_single_target(workdir):
     assert report["verdict"]["n_trajectories"] == 1
     assert report["n_trials"] == 1
     assert report["grid"] == "ring4.json"
+    assert report["alpha"] == 0.1
+    assert report["stability_edge"] == nominal_edge(path)
     assert report["config_hash"]
 
 
@@ -364,6 +373,8 @@ def test_mc_artifacts_and_reruns_identical(workdir):
     assert main(["mc", str(path), "--out", str(out2), "--jobs", "2"]) == 0
     summary = json.loads((out1 / "mc_summary.json").read_text())
     assert summary["n_trials"] == 4
+    assert summary["alpha"] == 0.1
+    assert summary["stability_edge"] == nominal_edge(path)
     assert 0.0 <= summary["report"]["convergence_rate"] <= 1.0
     assert abs(summary["histogram"]["normalization"] - 1.0) <= 1e-12
     for name in ("mc_summary.json", "mc_histogram.csv", "mc_histogram_k2.csv"):
@@ -400,14 +411,20 @@ def test_run_is_trial_zero_of_mc_under_every_channel(workdir):
     assert main(["run", str(noisy), "--out", str(workdir / "noisy")]) == 0
     assert main(["run", str(plain), "--out", str(workdir / "plain")]) == 0
     sc = load_scenario(noisy)
+    smap = compute_sensitivity(sc.grid, sc.u0)
     tset = run_monte_carlo(
-        sc.grid, list(sc.schedule), sc.controller, sc.noise, n_trials=1,
-        smap=compute_sensitivity(sc.grid, sc.u0), u0=sc.u0,
+        sc.grid, list(sc.schedule), sc.controller, sc.noise, n_trials=1, smap=smap, u0=sc.u0,
     )
     export_trajectory_csv(tset.trajectories[0], sc.grid, workdir / "trial0.csv")
     written = (workdir / "noisy" / "trajectory_000.csv").read_bytes()
     assert written == (workdir / "trial0.csv").read_bytes()
     assert written != (workdir / "plain" / "trajectory_000.csv").read_bytes()
+    # The edge is the nominal map's, whatever the sensitivity channel draws.
+    edges = [
+        json.loads((workdir / side / "run_verdict.json").read_text())["stability_edge"]
+        for side in ("noisy", "plain")
+    ]
+    assert edges[0] == edges[1] == stability_edge(smap)
 
 
 def test_mc_seed_override_changes_results(workdir):

@@ -1,6 +1,8 @@
 """Feedback dispatch controller: per-step QP wiring, closed loop, CSV export."""
 
 import csv
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,22 +11,23 @@ from flexsafe import ofo_controller
 from flexsafe.for_region import GAIN_SCALE, SWEEP_STAGES, sweep_for
 from flexsafe.ofo_controller import (
     ControllerConfig,
+    ControllerError,
     SetPoint,
     build_step_qp,
-    calibrate_alpha,
     closed_loop_step,
     export_trajectory_csv,
     grad_cost,
     plant_failure,
     run_schedule,
+    stability_edge,
     step_qp_template,
 )
-from flexsafe.grid_model import apply_control
+from flexsafe.grid_model import apply_control, load_grid
 from flexsafe.power_flow import PowerFlowError, measure, solve_power_flow
 from flexsafe.qp_solver import QuadraticProgram, check_kkt, solve_qp, solve_qp_stack
 from flexsafe.sensitivity import compute_sensitivity
 
-from conftest import assert_same_state
+from conftest import ALL_GRIDS, assert_same_state, grid_path
 
 
 @pytest.fixture(scope="module")
@@ -249,14 +252,48 @@ def test_trajectory_csv_round_trip(ring4, ring4_map, config, tmp_path):
         assert label in rows[0]
 
 
-def test_calibrate_alpha_returns_working_gain(ring4, ring4_map):
-    alpha = calibrate_alpha(
-        ring4, ring4_map, SetPoint(0.2, 0.1), lo=0.02, hi=2.0, max_iterations=300, rounds=6
-    )
-    assert 0.02 <= alpha <= 2.0
-    config = ControllerConfig(alpha=alpha, max_iterations=300, convergence_tol=1e-3)
-    traj = run_schedule(ring4, ring4_map, [SetPoint(0.2, 0.1)], config)
-    assert traj.converged
+@pytest.mark.parametrize("name", ALL_GRIDS)
+def test_stability_edge_is_the_linearized_loop_edge(name):
+    """The PCC error map I - 4 alpha M_pcc M_pcc^T has spectral radius 1 exactly at the edge."""
+    smap = compute_sensitivity(load_grid(grid_path(name)))
+    m_pcc = smap.matrix[-2:]
+    edge = stability_edge(smap)
+
+    def radius(alpha):
+        return np.max(np.abs(np.linalg.eigvals(np.eye(2) - 4.0 * alpha * m_pcc @ m_pcc.T)))
+
+    assert radius(0.99 * edge) < 1.0
+    assert radius(edge) == pytest.approx(1.0, abs=1e-12)
+    assert radius(1.01 * edge) > 1.0
+
+
+def test_stability_edge_needs_controls_that_move_the_pcc(ring4_map):
+    matrix = ring4_map.matrix.copy()
+    matrix[-2:] = 0.0
+    with pytest.raises(ControllerError, match="do not move the PCC"):
+        stability_edge(dataclasses.replace(ring4_map, matrix=matrix))
+
+
+@pytest.mark.parametrize("name", ["ring4", "ring4_tightv", "synth30"])
+def test_vertices_are_reached_below_the_edge_and_not_above(name):
+    """Every vertex of an 8-ray region is reached at 0.9x the map's edge; few are at 1.1x.
+
+    ring4_tightv is checked below the edge only: at 1.1x it still reaches
+    4 of 8, because a voltage row binds near its vertices, projects M_pcc
+    and so raises its true edge above the map's.
+    """
+    grid = load_grid(grid_path(name))
+    smap = compute_sensitivity(grid)
+    targets = [SetPoint(p, q) for p, q in sweep_for(grid, smap, n_angles=8).vertices]
+    edge = stability_edge(smap)
+
+    def reached(factor):
+        config = ControllerConfig(alpha=factor * edge, max_iterations=100)
+        return sum(run_schedule(grid, smap, [t], config).converged for t in targets)
+
+    assert reached(0.9) == len(targets) == 8
+    if name != "ring4_tightv":
+        assert reached(1.1) <= 2
 
 
 def test_config_validation():
@@ -266,6 +303,13 @@ def test_config_validation():
         ControllerConfig(alpha=0.1, max_iterations=0)
     with pytest.raises(ValueError):
         ControllerConfig(alpha=0.1, convergence_tol=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["alpha", "convergence_tol"])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ControllerConfig(**{"alpha": 0.1, field: value})
 
 
 def _tracking_gradients(targets):
