@@ -20,6 +20,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
@@ -75,8 +76,9 @@ class ControllerConfig:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ValueError(f"max_iterations must be an integer of at least 1, got {n!r}")
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol > 0):
             raise ValueError(
                 f"convergence_tol must be finite and positive, got {self.convergence_tol}"
@@ -84,15 +86,15 @@ class ControllerConfig:
 
 
 class NoiseModel(Protocol):
-    """Disturbance hooks the closed loop consults once per iteration.
+    """Disturbance hooks the closed loop consults once per step, in step order.
 
-    ``perturb_grid`` returns iteration k's (n_loads, 2) array of (dp, dq)
-    added to the grid's fixed loads, or None to leave them as they are.
+    Each call is the next step's draw: ``perturb_grid`` an (n_loads, 2) array
+    of (dp, dq) added to the grid's fixed loads, or None to leave them.
     """
 
-    def perturb_grid(self, grid: GridModel, k: int) -> np.ndarray | None: ...
+    def perturb_grid(self, grid: GridModel) -> np.ndarray | None: ...
 
-    def measurement_noise(self, k: int) -> MeasurementNoise | None: ...
+    def measurement_noise(self) -> MeasurementNoise | None: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,8 +345,8 @@ def closed_loop_step(
     One control vector's step QP is solved cold, and ``warm`` must be None
     (ValueError otherwise).  Returns the OFOStep and the true plant state
     that produced the measurement; a plant that does not converge raises
-    its plant_failure.  An infeasible QP holds the control (w = 0) rather
-    than taking an unreliable step.
+    its plant_failure, which names the step ``k``.  An infeasible QP holds
+    the control (w = 0) rather than taking an unreliable step.
 
     A (K, n_u) stack of controls steps K independent members in lockstep:
     ``alpha`` and ``warm`` (if given) then hold one entry per member,
@@ -373,12 +375,12 @@ def closed_loop_step(
         raise ValueError("a noise model drives one member, not a stack")
     if warm is not None and single:
         raise ValueError("a warm-start guess is per member of a stack, not for one control vector")
-    load_delta = noise.perturb_grid(grid, k) if noise is not None else None
+    load_delta = noise.perturb_grid(grid) if noise is not None else None
     states = solve_power_flow(grid, initial=initial, control=u, load_delta=load_delta)
     if single:
         if not states.converged:
             raise plant_failure(None, states.mismatch, k)
-        y = measure(states, noise.measurement_noise(k) if noise is not None else None)
+        y = measure(states, noise.measurement_noise() if noise is not None else None)
         problem = build_step_qp(u, y, smap, grid, alpha, gradient(y), template)
         solution = solve_qp(problem)
         if solution.status == "optimal":

@@ -9,13 +9,13 @@ Three independent noise channels, each on its own timescale:
 * model mismatch    - multiplicative uniform on the sensitivity entries,
   drawn once per trial (the map is wrong, but consistently so).
 
-Every draw comes from a stream keyed by (trial, channel[, iteration]) off
-one master seed, so a trial's randomness is independent of execution order
-and a parallel run reproduces the serial run byte for byte.
+Every draw comes from a stream keyed by (trial, channel) off one master
+seed and read in step order by the one process that runs the trial, so a
+parallel run reproduces the serial run byte for byte.
 
 Each trial's Trajectory is its record as arrays, step k in row k:
 ``states`` is one StateStack, and ``steps`` a StepRecord of (n_steps, n_u)
-controls and directions, (n_steps, n_y) measurements and one QP status
+controls and applied steps, (n_steps, n_y) measurements and one QP status
 and active set per step.  No per-step object is kept, so a pool worker
 returns only these arrays, and the summaries below read them with no
 per-step loop.
@@ -111,10 +111,9 @@ def _finite(x) -> bool:
     return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def channel_stream(seed: int, trial: int, channel: int, iteration: int | None = None):
-    """Independent generator for one (trial, channel[, iteration]) cell."""
-    key = (trial, channel) if iteration is None else (trial, channel, iteration)
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+def channel_stream(seed: int, trial: int, channel: int) -> np.random.Generator:
+    """Independent generator for one (trial, channel) cell."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial, channel)))
 
 
 def check_load_channel(grid: GridModel, config: NoiseConfig) -> None:
@@ -131,46 +130,61 @@ def check_load_channel(grid: GridModel, config: NoiseConfig) -> None:
             raise ValueError(f"load_sigma missing classes: {sorted(missing)}")
 
 
-def sample_load_noise(
-    grid: GridModel, config: NoiseConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """One additive load perturbation, shape (n_loads, 2) for (dp, dq)."""
+def _load_sampler(grid: GridModel, config: NoiseConfig):
+    """Check the load channel against grid's loads; return its draw, a function of a generator."""
     check_load_channel(grid, config)
     n_loads = len(grid.fixed_loads)
     if config.load_cov is not None:
         # eigh handles rank-deficient covariances (e.g. one common factor
         # driving every load) that a plain Cholesky factorization rejects.
-        flat = rng.multivariate_normal(
-            np.zeros(2 * n_loads), config.load_cov, method="eigh"
-        )
-        return np.stack([flat[:n_loads], flat[n_loads:]], axis=1)
+        mean, cov = np.zeros(2 * n_loads), config.load_cov
+        return lambda rng: rng.multivariate_normal(mean, cov, method="eigh").reshape(2, -1).T
     if config.load_sigma is None:
-        return np.zeros((n_loads, 2))
-    sigma = np.array([config.load_sigma[ld.load_class] for ld in grid.fixed_loads])
-    return rng.normal(0.0, 1.0, size=(n_loads, 2)) * sigma[:, None]
+        return lambda rng: np.zeros((n_loads, 2))
+    sigma = np.array([config.load_sigma[ld.load_class] for ld in grid.fixed_loads])[:, None]
+    return lambda rng: rng.normal(0.0, 1.0, size=(n_loads, 2)) * sigma
+
+
+def sample_load_noise(
+    grid: GridModel, config: NoiseConfig, rng: np.random.Generator
+) -> np.ndarray:
+    """One additive load perturbation, shape (n_loads, 2) for (dp, dq)."""
+    return _load_sampler(grid, config)(rng)
 
 
 @dataclass(frozen=True)
 class TrialNoise:
-    """NoiseModel for one Monte Carlo trial; all streams derive from its index."""
+    """NoiseModel for one run of one Monte Carlo trial.
+
+    Each channel reads its own channel_stream(seed, trial, channel), made
+    here, in step order, so a new run needs a new TrialNoise.  The load
+    channel is checked against a grid's loads at its first draw for it.
+    """
 
     config: NoiseConfig
     trial: int
 
-    def perturb_grid(self, grid: GridModel, k: int) -> np.ndarray | None:
-        """Iteration k's load perturbation (see sample_load_noise); None with the channel off."""
-        if not self.config.load_enabled:
-            return None
-        rng = channel_stream(self.config.seed, self.trial, CHANNEL_LOAD, k)
-        return sample_load_noise(grid, self.config, rng)
+    def __post_init__(self):
+        stream = partial(channel_stream, self.config.seed, self.trial)
+        load = stream(CHANNEL_LOAD) if self.config.load_enabled else None
+        meas = self.config.meas_bounds
+        if meas is not None:
+            meas = MeasurementNoise(*meas, stream(CHANNEL_MEAS))
+        object.__setattr__(self, "_load", load)
+        object.__setattr__(self, "_meas", meas)
+        object.__setattr__(self, "_sampler", (None, None))  # (grid, its checked load draw)
 
-    def measurement_noise(self, k: int) -> MeasurementNoise | None:
-        if self.config.meas_bounds is None:
+    def perturb_grid(self, grid: GridModel) -> np.ndarray | None:
+        """The next load perturbation (see sample_load_noise); None with the channel off."""
+        if self._load is None:
             return None
-        lo, hi = self.config.meas_bounds
-        return MeasurementNoise(
-            lo, hi, channel_stream(self.config.seed, self.trial, CHANNEL_MEAS, k)
-        )
+        if self._sampler[0] is not grid:
+            object.__setattr__(self, "_sampler", (grid, _load_sampler(grid, self.config)))
+        return self._sampler[1](self._load)
+
+    def measurement_noise(self) -> MeasurementNoise | None:
+        """The run's one MeasurementNoise: each measurement draws on from its stream."""
+        return self._meas
 
     def sensitivity(self, smap: SensitivityMap) -> SensitivityMap:
         if self.config.sens_bounds is None:
@@ -191,7 +205,7 @@ def run_trial(
     u0: np.ndarray | None,
     trial: int,
 ) -> Trajectory:
-    """run_schedule under every channel of TrialNoise(noise_config, trial), or noise-free."""
+    """run_schedule under every channel of a new TrialNoise(noise_config, trial), or noise-free."""
     if noise_config is None:
         return run_schedule(grid, smap, schedule, controller_config, u0=u0)
     noise = TrialNoise(noise_config, trial)
@@ -213,9 +227,9 @@ def run_monte_carlo(
     """Run n_trials independent closed-loop realizations.
 
     Trial t is run_trial(..., t), on min(jobs, n_trials) processes; results
-    are identical for any ``jobs`` because every trial's randomness is
-    keyed by its index.  Aborted runs stay in the set (the classifier must
-    see them) and are additionally listed in ``failures``.
+    are identical for any ``jobs`` because one process reads all of a trial's
+    streams, in step order.  Aborted runs stay in the set (the classifier
+    must see them) and are additionally listed in ``failures``.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")

@@ -170,13 +170,13 @@ def test_infeasible_qp_holds_control(ring4, ring4_map, config):
     class BrokenMeter:
         """Reports absurd voltages so every QP voltage row is unsatisfiable."""
 
-        def perturb_grid(self, grid, k):
+        def perturb_grid(self, grid):
             return None
 
-        def measurement_noise(self, k):
+        def measurement_noise(self):
             from flexsafe.power_flow import MeasurementNoise
 
-            return MeasurementNoise(24.0, 25.0, np.random.default_rng(k))
+            return MeasurementNoise(24.0, 25.0, np.random.default_rng(0))
 
     u = ring4.control_vector()
     template = step_qp_template(ring4, ring4_map)
@@ -193,12 +193,15 @@ def test_plant_collapse_aborts_trajectory(ring4, ring4_map, config):
     class Saboteur:
         """Make the plant unsolvable from step 3 onward."""
 
-        def perturb_grid(self, grid, k):
-            if k < 3:
+        calls = 0
+
+        def perturb_grid(self, grid):
+            self.calls += 1
+            if self.calls <= 3:
                 return None
             return np.tile([0.0, 40.0], (len(grid.fixed_loads), 1))
 
-        def measurement_noise(self, k):
+        def measurement_noise(self):
             return None
 
     traj = run_schedule(ring4, ring4_map, [SetPoint(0.2, 0.1)], config, noise=Saboteur())
@@ -211,14 +214,16 @@ def test_plant_collapse_aborts_trajectory(ring4, ring4_map, config):
 def test_convergence_judged_on_true_state(ring4, ring4_map):
     """Measurement noise must not fake convergence: the plant has to arrive."""
 
+    from flexsafe.power_flow import MeasurementNoise
+
     class NoisyMeter:
-        def perturb_grid(self, grid, k):
+        noise = MeasurementNoise(-0.02, 0.02, np.random.default_rng(1000))
+
+        def perturb_grid(self, grid):
             return None
 
-        def measurement_noise(self, k):
-            from flexsafe.power_flow import MeasurementNoise
-
-            return MeasurementNoise(-0.02, 0.02, np.random.default_rng(1000 + k))
+        def measurement_noise(self):
+            return self.noise
 
     config = ControllerConfig(alpha=0.1, max_iterations=500, convergence_tol=1e-3)
     target = SetPoint(0.2, 0.1)
@@ -310,6 +315,17 @@ def test_config_validation():
 def test_config_rejects_non_finite_values(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         ControllerConfig(**{"alpha": 0.1, field: value})
+
+
+@pytest.mark.parametrize("value", [2.5, math.inf, True, 0])
+def test_config_rejects_non_integer_iterations(value):
+    """A float would fail at range() in run_schedule, and True would run one step."""
+    with pytest.raises(ValueError, match="max_iterations must be an integer of at least 1"):
+        ControllerConfig(alpha=0.1, max_iterations=value)
+
+
+def test_config_takes_numpy_integer_iterations():
+    assert ControllerConfig(alpha=0.1, max_iterations=np.int64(3)).max_iterations == 3
 
 
 def _tracking_gradients(targets):

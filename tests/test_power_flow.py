@@ -190,8 +190,8 @@ def test_load_delta_solve_matches_grid_with_moved_loads(name):
     noise = TrialNoise(NoiseConfig(seed=5, load_sigma=sigma), trial=3)
     lower, upper = grid.control_bounds()
     rng = np.random.default_rng(23)
-    for k in range(4):
-        delta = noise.perturb_grid(grid, k)
+    for _ in range(4):
+        delta = noise.perturb_grid(grid)
         loads = tuple(
             replace(ld, p=ld.p + float(dp), q=ld.q + float(dq))
             for ld, (dp, dq) in zip(grid.fixed_loads, delta)

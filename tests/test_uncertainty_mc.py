@@ -36,11 +36,10 @@ def test_channel_streams_are_keyed_not_sequential():
     a = channel_stream(seed=1, trial=0, channel=CHANNEL_LOAD).normal(size=4)
     b = channel_stream(seed=1, trial=0, channel=CHANNEL_LOAD).normal(size=4)
     assert np.array_equal(a, b)
-    # Different trial, channel, iteration, or seed: independent streams.
+    # Different trial, channel, or seed: independent streams.
     for kwargs in (
         dict(seed=1, trial=1, channel=CHANNEL_LOAD),
         dict(seed=1, trial=0, channel=CHANNEL_MEAS),
-        dict(seed=1, trial=0, channel=CHANNEL_LOAD, iteration=3),
         dict(seed=2, trial=0, channel=CHANNEL_LOAD),
     ):
         other = channel_stream(**kwargs).normal(size=4)
@@ -101,15 +100,61 @@ def test_trial_noise_is_frozen_and_deterministic(ring4):
     tn = TrialNoise(config, trial=2)
     with pytest.raises(FrozenInstanceError):
         tn.trial = 5
-    d1 = tn.perturb_grid(ring4, k=0)
-    d2 = TrialNoise(config, trial=2).perturb_grid(ring4, k=0)
+    d1 = tn.perturb_grid(ring4)
+    d2 = TrialNoise(config, trial=2).perturb_grid(ring4)
     assert d1.shape == (len(ring4.fixed_loads), 2)
     assert np.array_equal(d1, d2)
-    # Load noise is redrawn every iteration.
-    d3 = tn.perturb_grid(ring4, k=1)
+    # Load noise is redrawn every iteration: the next draw of the same stream.
+    d3 = tn.perturb_grid(ring4)
     assert not np.array_equal(d3, d1)
     # With the load channel off there is nothing to add.
-    assert TrialNoise(NoiseConfig(seed=3), trial=2).perturb_grid(ring4, k=0) is None
+    assert TrialNoise(NoiseConfig(seed=3), trial=2).perturb_grid(ring4) is None
+
+
+def test_trial_draws_each_stream_once(ring4, monkeypatch):
+    """A run makes one stream per channel and checks the load channel once, then draws in step order."""
+    streams, checks = [], []
+    make_stream, check = uncertainty_mc.channel_stream, uncertainty_mc.check_load_channel
+
+    def counting_stream(seed, trial, channel):
+        streams.append(channel)
+        return make_stream(seed, trial, channel)
+
+    def counting_check(grid, config):
+        checks.append(grid)
+        check(grid, config)
+
+    monkeypatch.setattr(uncertainty_mc, "channel_stream", counting_stream)
+    monkeypatch.setattr(uncertainty_mc, "check_load_channel", counting_check)
+    sigma = {"household": 0.02, "industry": 0.02, "commercial": 0.02}
+    config = NoiseConfig(
+        seed=4, load_sigma=sigma, meas_bounds=(-0.01, 0.01), sens_bounds=(-0.05, 0.05)
+    )
+    controller = ControllerConfig(alpha=0.1, max_iterations=30)
+    smap = compute_sensitivity(ring4)
+    traj = run_trial(ring4, smap, [SetPoint(3.0, 3.0)], controller, config, None, 1)
+    assert len(traj.steps) == 30 and not traj.aborted
+    assert sorted(streams) == [CHANNEL_LOAD, CHANNEL_MEAS, CHANNEL_SENS]
+    assert checks == [ring4]
+    # Every step drew fresh noise from the trial's one stream per channel.
+    assert len({row.tobytes() for row in traj.steps.y.values}) == 30
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_bad_load_channel_raises_before_the_first_step(ring4, monkeypatch, jobs):
+    """A load channel that does not fit the grid raises the check's ValueError, solving nothing."""
+    solves = []
+    monkeypatch.setattr(
+        "flexsafe.ofo_controller.solve_power_flow", lambda *a, **kw: solves.append(a)
+    )
+    config = NoiseConfig(seed=1, load_sigma={"household": 0.02})
+    controller = ControllerConfig(alpha=0.1, max_iterations=30)
+    smap = compute_sensitivity(ring4)
+    with pytest.raises(ValueError, match="load_sigma missing classes"):
+        run_trial(ring4, smap, [SetPoint(0.2, 0.1)], controller, config, None, 0)
+    with pytest.raises(ValueError, match="load_sigma missing classes"):
+        run_monte_carlo(ring4, [SetPoint(0.2, 0.1)], controller, config, 2, smap, jobs=jobs)
+    assert solves == []
 
 
 def test_noisy_schedule_builds_no_grid(monkeypatch):
